@@ -57,14 +57,16 @@ test:
 # worker pool, sharded annealer, GBT split search, sampler vote, neural
 # batch scoring) plus the packages that drive them: core's candidate
 # scoring and the tuners both call into the pooled scoring paths, and the
-# tuned-config cache takes concurrent Puts from fleet workers.
+# tuned-config cache takes concurrent Puts from fleet workers. nn and prior
+# cover the shared-toolkit inference that concurrent glimpsed sessions do
+# and H's concurrently trained heads.
 .PHONY: race
 race:
 	$(GO) test -race ./internal/fleet/... ./internal/measure/... ./internal/faults/... \
 		./internal/parallel/... ./internal/anneal/... ./internal/gbt/... \
 		./internal/sampler/... ./internal/acq/... ./internal/nn/... \
-		./internal/core/... ./internal/tuner/... ./internal/cache/... \
-		./internal/server/...
+		./internal/prior/... ./internal/core/... ./internal/tuner/... \
+		./internal/cache/... ./internal/server/...
 
 .PHONY: bench
 bench:
@@ -121,17 +123,37 @@ bench-serve:
 		| $(GO) run ./cmd/benchjson > BENCH_serve.json
 	@echo wrote BENCH_serve.json
 
-# Soft regression gate: rerun the observability benchmarks and diff them
-# against the committed BENCH_obs.json baseline with cmd/benchdiff
-# (>20% ns/op or allocs/op growth fails). CI runs this as a soft gate —
-# the diff is surfaced as an annotation and artifact, not a red build,
-# because shared runners are too noisy for a hard 20% wall.
-.PHONY: bench-diff
-bench-diff:
+# Toolkit-training benchmarks as a machine-readable artifact: one nn
+# training step on a prior-head-shaped and an acquisition-shaped net
+# (0 allocs/op) and a whole reduced-config TrainToolkit. -cpu 2 pins
+# GOMAXPROCS, and with it the benchmark names, so the baseline compares
+# like for like on any runner.
+TRAIN_BENCH = $(GO) test -bench 'BenchmarkFitStep|BenchmarkTrainToolkit' -benchmem -cpu 2 -run '^$$' \
+	./internal/nn/... ./internal/core/...
+.PHONY: bench-train
+bench-train:
+	$(TRAIN_BENCH) | $(GO) run ./cmd/benchjson > BENCH_train.json
+	@echo wrote BENCH_train.json
+
+# Regression gates against the committed baselines with cmd/benchdiff.
+# bench-diff-obs reruns the observability benchmarks (>20% ns/op or
+# allocs/op growth fails); CI reports it as a soft gate — an annotation
+# and artifact, not a red build — because shared runners are too noisy
+# for a hard 20% wall. bench-diff-train reruns the training benchmarks
+# with -soft-time: allocs/op is deterministic and fails the build, ns/op
+# is reported only.
+.PHONY: bench-diff bench-diff-obs bench-diff-train
+bench-diff: bench-diff-obs bench-diff-train
+
+bench-diff-obs:
 	$(GO) test -bench 'BenchmarkTracer|BenchmarkCounterInc|BenchmarkHistogramObserve|BenchmarkReliableOverhead' \
 		-benchmem -run '^$$' ./internal/telemetry/... ./internal/measure/... \
 		| $(GO) run ./cmd/benchjson \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_obs.json
+
+bench-diff-train:
+	$(TRAIN_BENCH) | $(GO) run ./cmd/benchjson \
+		| $(GO) run ./cmd/benchdiff -soft-time -baseline BENCH_train.json
 
 .PHONY: fmt
 fmt:

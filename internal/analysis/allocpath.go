@@ -5,15 +5,17 @@ import (
 	"go/types"
 )
 
-// AllocPath polices the per-candidate scoring paths in the hot packages
-// (Scope.Hot: gbt, nn, acq, anneal, sampler). The tuner evaluates tens of
-// thousands of candidates per run, so an allocation in a scoring loop is
-// multiplied by the full candidate stream and shows up directly in tuning
-// wall time. The analyzer computes the set of functions reachable (via
+// AllocPath polices the per-candidate scoring paths and the nn training
+// step in the hot packages (Scope.Hot: gbt, nn, acq, anneal, sampler).
+// The tuner evaluates tens of thousands of candidates per run, and toolkit
+// training runs tens of thousands of steps, so an allocation in either
+// loop is multiplied by the full stream and shows up directly in wall
+// time. The analyzer computes the set of functions reachable (via
 // package-local static calls) from the hot entry points — exported
 // functions and methods matching Scope.HotRoots (Predict*, Score*,
-// Infer*, Select*, Run*, Sample*, Forward*) — and inside those flags the
-// allocation constructs that repeatedly escape review:
+// Infer*, Select*, Run*, Sample*, Forward*, Backward*, Fit*) — and
+// inside those flags the allocation constructs that repeatedly escape
+// review:
 //
 //   - fmt.* calls inside a loop (every call allocates its variadic args
 //     and result; error/panic exits are exempt — they fire once);

@@ -39,12 +39,12 @@ var Scope = struct {
 	// Lock without a same-function Unlock, no blocking operation while a
 	// lock is held (lockcheck).
 	Lock []string
-	// Hot packages are the surrogate scoring inner loop; allocation-
-	// causing constructs on paths reachable from the scoring roots are
-	// flagged there (allocpath).
+	// Hot packages are the surrogate scoring inner loop and the nn
+	// training step; allocation-causing constructs on paths reachable
+	// from the hot roots are flagged there (allocpath).
 	Hot []string
 	// HotRoots names the entry points whose call graphs define the
-	// scoring paths inside the hot packages.
+	// scoring and training paths inside the hot packages.
 	HotRoots *regexp.Regexp
 }{
 	Deterministic: []string{
@@ -95,7 +95,7 @@ var Scope = struct {
 		"internal/anneal",
 		"internal/sampler",
 	},
-	HotRoots: regexp.MustCompile(`^(Predict|Score|Infer|Select|Run|Sample|Forward)`),
+	HotRoots: regexp.MustCompile(`^(Predict|Score|Infer|Select|Run|Sample|Forward|Backward|Fit)`),
 }
 
 // inScope reports whether the package path falls under any suffix in the

@@ -67,7 +67,7 @@ func (a *Autoencoder) Embed(spec hwspec.Spec) []float64 {
 			std[j] /= a.stds[j]
 		}
 	}
-	return a.encoder.Predict(std)
+	return a.encoder.Infer(std)
 }
 
 // InformationLossAE measures reconstruction RMSE in standardized units —
@@ -85,7 +85,7 @@ func InformationLossAE(specs []hwspec.Spec, a *Autoencoder) float64 {
 			}
 		}
 		orig.SetRow(i, std)
-		recon.SetRow(i, a.decoder.Predict(a.encoder.Predict(std)))
+		recon.SetRow(i, a.decoder.Infer(a.encoder.Infer(std)))
 	}
 	return mat.RMSE(orig, recon)
 }

@@ -6,6 +6,7 @@ import (
 	"github.com/neuralcompile/glimpse/internal/acq"
 	"github.com/neuralcompile/glimpse/internal/blueprint"
 	"github.com/neuralcompile/glimpse/internal/hwspec"
+	"github.com/neuralcompile/glimpse/internal/parallel"
 	"github.com/neuralcompile/glimpse/internal/prior"
 	"github.com/neuralcompile/glimpse/internal/rng"
 	"github.com/neuralcompile/glimpse/internal/workload"
@@ -91,10 +92,6 @@ func TrainToolkit(target string, cfg ToolkitConfig, g *rng.RNG) (*Toolkit, error
 			priorTasks = append(priorTasks, workload.MustTasks(model)...)
 		}
 	}
-	priorModel, err := prior.Train(emb, pool, priorTasks, cfg.Prior, g.Split("prior"))
-	if err != nil {
-		return nil, err
-	}
 
 	metaTasks := cfg.MetaTasks
 	if len(metaTasks) == 0 {
@@ -120,9 +117,26 @@ func TrainToolkit(target string, cfg ToolkitConfig, g *rng.RNG) (*Toolkit, error
 		}
 		metaPool = spread
 	}
-	neural, err := acq.MetaTrain(emb, metaPool, metaTasks, cfg.Meta, g.Split("meta"))
-	if err != nil {
-		return nil, err
+
+	// H and the acquisition function are independent and each draws from
+	// its own Split stream, so they train concurrently (serially at one
+	// worker) with byte-identical results.
+	var (
+		priorModel *prior.Model
+		neural     *acq.Neural
+		errs       [2]error
+	)
+	parallel.For(0, 2, func(i int) {
+		if i == 0 {
+			priorModel, errs[0] = prior.Train(emb, pool, priorTasks, cfg.Prior, g.Split("prior"))
+		} else {
+			neural, errs[1] = acq.MetaTrain(emb, metaPool, metaTasks, cfg.Meta, g.Split("meta"))
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	return &Toolkit{TargetName: target, Emb: emb, Prior: priorModel, Acq: neural}, nil

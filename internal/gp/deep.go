@@ -56,7 +56,7 @@ func (d *DeepRegressor) features(x [][]float64) ([][]float64, error) {
 	}
 	out := make([][]float64, len(x))
 	for i, row := range x {
-		out[i] = d.trunk.Predict(row)
+		out[i] = d.trunk.Infer(row)
 	}
 	return out, nil
 }
@@ -85,6 +85,6 @@ func (d *DeepRegressor) Predict(q []float64) (mean, variance float64, err error)
 	if d.gp == nil {
 		return 0, 0, fmt.Errorf("gp: DeepRegressor used before FitTarget")
 	}
-	m, v := d.gp.Predict(d.trunk.Predict(q))
+	m, v := d.gp.Predict(d.trunk.Infer(q))
 	return m, v, nil
 }

@@ -86,6 +86,24 @@ func (m *Matrix) Row(i int) []float64 {
 // RawRow returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) RawRow(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
+// RawData returns the row-major storage, aliasing the matrix.
+func (m *Matrix) RawData() []float64 { return m.data }
+
+// Reuse reshapes m to r×c in place, reusing its storage when it holds at
+// least r*c values and growing it otherwise, and returns m. The contents
+// are unspecified afterwards; it is for workspaces the caller overwrites.
+// The zero Matrix is a valid, empty workspace.
+func (m *Matrix) Reuse(r, c int) *Matrix {
+	if r <= 0 || c <= 0 {
+		panic(fmt.Sprintf("mat: non-positive dimensions %dx%d", r, c))
+	}
+	if cap(m.data) < r*c {
+		m.data = make([]float64, r*c)
+	}
+	m.rows, m.cols, m.data = r, c, m.data[:r*c]
+	return m
+}
+
 // Col returns a copy of column j.
 func (m *Matrix) Col(j int) []float64 {
 	out := make([]float64, m.rows)

@@ -4,12 +4,13 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/neuralcompile/glimpse/internal/mat"
 	"github.com/neuralcompile/glimpse/internal/rng"
 )
 
-// TestInferMatchesPredict pins the cache-free inference path to the
-// training-time forward pass.
-func TestInferMatchesPredict(t *testing.T) {
+// TestInferMatchesForward pins the cache-free inference path to the
+// training-time forward pass, which writes into layer workspaces.
+func TestInferMatchesForward(t *testing.T) {
 	g := rng.New(1)
 	net := NewMLP([]int{6, 16, 8, 2}, ReLU, g)
 	for trial := 0; trial < 50; trial++ {
@@ -17,7 +18,7 @@ func TestInferMatchesPredict(t *testing.T) {
 		for i := range x {
 			x[i] = g.NormFloat64()
 		}
-		want := net.Predict(x)
+		want := net.Forward(mat.NewFromData(1, len(x), x)).Row(0)
 		got := net.Infer(x)
 		for i := range want {
 			if got[i] != want[i] {

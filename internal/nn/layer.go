@@ -17,13 +17,17 @@ import (
 
 // Layer is one differentiable stage of a network. Forward consumes a batch
 // and caches whatever it needs; Backward consumes ∂L/∂output and returns
-// ∂L/∂input, accumulating parameter gradients internally.
+// ∂L/∂input, accumulating parameter gradients internally. Forward and
+// Backward write into per-layer workspaces: their results alias layer
+// state and are valid only until the layer's next call, Backward may
+// overwrite the gradient it is given, and a layer must not be trained
+// from two goroutines at once.
 type Layer interface {
 	Forward(x *mat.Matrix) *mat.Matrix
 	Backward(grad *mat.Matrix) *mat.Matrix
 	// Infer is Forward without caching state for Backward: it only reads
-	// the layer's parameters, so concurrent Infer calls are safe. Used by
-	// the parallel acquisition-scoring hot path.
+	// the layer's parameters and returns a fresh matrix, so concurrent
+	// Infer calls are safe. It computes exactly what Forward computes.
 	Infer(x *mat.Matrix) *mat.Matrix
 	// Params returns parameter/gradient pairs for the optimizer;
 	// activation layers return nil.
@@ -37,13 +41,24 @@ type Param struct {
 }
 
 // Dense is a fully connected layer: y = x·Wᵀ + b.
+//
+// Its kernels keep every sum in the order of mat.Mul's ikj loop — each
+// output element adds its terms in increasing inner index from +0,
+// skipping zero left-hand factors — so training is bit-identical to the
+// x·W.T() and grad.T()·x products they replace; DESIGN.md §6 states the
+// rule and the register-blocking forms it allows.
 type Dense struct {
 	In, Out int
 	W       *mat.Matrix // Out×In
 	B       *mat.Matrix // 1×Out
 	gradW   *mat.Matrix
 	gradB   *mat.Matrix
+
+	// Training workspaces, sized by the batch and dropped by release.
 	lastX   *mat.Matrix
+	out, dx mat.Matrix
+	col     []float64 // one column of the upstream gradient
+	acc     []float64 // one row of gradᵀ·x before it joins gradW
 }
 
 // NewDense builds a dense layer with Glorot-uniform initial weights.
@@ -64,45 +79,171 @@ func NewDense(in, out int, g *rng.RNG) *Dense {
 	return d
 }
 
-// Forward computes x·Wᵀ + b for a batch x (n×In).
+// Forward computes x·Wᵀ + b for a batch x (n×In) into the layer's
+// output workspace.
 func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
+	d.checkIn(x)
 	d.lastX = x
-	return d.Infer(x)
-}
-
-// Infer computes x·Wᵀ + b without caching the input for Backward.
-func (d *Dense) Infer(x *mat.Matrix) *mat.Matrix {
-	if x.Cols() != d.In {
-		panic(fmt.Sprintf("nn: Dense forward %d features, want %d", x.Cols(), d.In))
-	}
-	out := x.Mul(d.W.T())
-	for i := 0; i < out.Rows(); i++ {
-		row := out.RawRow(i)
-		for j := range row {
-			row[j] += d.B.At(0, j)
-		}
-	}
+	out := d.out.Reuse(x.Rows(), d.Out)
+	denseForward(out, x, d.W, d.B)
 	return out
 }
 
-// Backward accumulates ∂L/∂W and ∂L/∂b and returns ∂L/∂x.
+// Infer computes x·Wᵀ + b into a fresh matrix without touching the
+// training workspaces.
+func (d *Dense) Infer(x *mat.Matrix) *mat.Matrix {
+	d.checkIn(x)
+	out := mat.New(x.Rows(), d.Out)
+	denseForward(out, x, d.W, d.B)
+	return out
+}
+
+func (d *Dense) checkIn(x *mat.Matrix) {
+	if x.Cols() != d.In {
+		panic(fmt.Sprintf("nn: Dense forward %d features, want %d", x.Cols(), d.In))
+	}
+}
+
+// Backward accumulates ∂L/∂W = gradᵀ·x and ∂L/∂b and returns ∂L/∂x =
+// grad·W in the layer's input-gradient workspace.
 func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
+	d.accumulate(grad)
+	n := grad.Rows()
+	dx := d.dx.Reuse(n, d.In)
+	wd := d.W.RawData()
+	for k := 0; k < n; k++ {
+		sumRows(dx.RawRow(k), grad.RawRow(k), wd)
+	}
+	return dx
+}
+
+// accumulate adds gradᵀ·x into ∂L/∂W and the column sums of grad into
+// ∂L/∂b: Backward without the input gradient.
+func (d *Dense) accumulate(grad *mat.Matrix) {
 	if d.lastX == nil {
 		panic("nn: Dense backward before forward")
 	}
-	d.gradW.AddInPlace(grad.T().Mul(d.lastX))
-	for i := 0; i < grad.Rows(); i++ {
-		row := grad.RawRow(i)
-		for j := range row {
-			d.gradB.Set(0, j, d.gradB.At(0, j)+row[j])
+	n := grad.Rows()
+	if n != d.lastX.Rows() || grad.Cols() != d.Out {
+		panic("nn: Dense backward gradient shape differs from its forward output")
+	}
+	if cap(d.col) < n {
+		d.col = make([]float64, n)
+	}
+	if d.acc == nil {
+		d.acc = make([]float64, d.In)
+	}
+	col, acc, g := d.col[:n], d.acc, grad.RawData()
+	xd := d.lastX.RawData()
+	for j := 0; j < d.Out; j++ {
+		for k := range col {
+			col[k] = g[k*d.Out+j]
+		}
+		sumRows(acc, col, xd)
+		gw := d.gradW.RawRow(j)
+		for c, v := range acc {
+			gw[c] += v
 		}
 	}
-	return grad.Mul(d.W)
+	gb := d.gradB.RawData()
+	for k := 0; k < n; k++ {
+		for j, v := range grad.RawRow(k) {
+			gb[j] += v
+		}
+	}
+}
+
+// release drops the training workspaces and the cached input.
+func (d *Dense) release() {
+	d.lastX, d.out, d.dx, d.col, d.acc = nil, mat.Matrix{}, mat.Matrix{}, nil, nil
 }
 
 // Params exposes the weights and bias to the optimizer.
 func (d *Dense) Params() []Param {
 	return []Param{{d.W, d.gradW}, {d.B, d.gradB}}
+}
+
+// denseForward sets out = x·Wᵀ + b. Element (i, j) sums x[i][k]·W[j][k]
+// over k in order from +0, skipping x[i][k] == 0, then adds b[j] — the
+// order of x.Mul(W.T()) followed by the bias add. Four output columns
+// share one pass over x[i], each with its own accumulator.
+func denseForward(out, x, w, b *mat.Matrix) {
+	in, nOut := w.Cols(), w.Rows()
+	wd, bd := w.RawData(), b.RawRow(0)
+	for i := 0; i < x.Rows(); i++ {
+		xi, oi := x.RawRow(i), out.RawRow(i)
+		j := 0
+		for ; j+4 <= nOut; j += 4 {
+			w0 := wd[j*in : (j+1)*in][:len(xi)]
+			w1 := wd[(j+1)*in : (j+2)*in][:len(xi)]
+			w2 := wd[(j+2)*in : (j+3)*in][:len(xi)]
+			w3 := wd[(j+3)*in : (j+4)*in][:len(xi)]
+			var s0, s1, s2, s3 float64
+			for k, a := range xi {
+				if a == 0 {
+					continue
+				}
+				s0 += a * w0[k]
+				s1 += a * w1[k]
+				s2 += a * w2[k]
+				s3 += a * w3[k]
+			}
+			oi[j] = s0 + bd[j]
+			oi[j+1] = s1 + bd[j+1]
+			oi[j+2] = s2 + bd[j+2]
+			oi[j+3] = s3 + bd[j+3]
+		}
+		for ; j < nOut; j++ {
+			wj := wd[j*in : (j+1)*in][:len(xi)]
+			var s float64
+			for k, a := range xi {
+				if a == 0 {
+					continue
+				}
+				s += a * wj[k]
+			}
+			oi[j] = s + bd[j]
+		}
+	}
+}
+
+// sumRows sets dst = Σ_t a[t]·src[t] over the rows src[t] of the
+// row-major src (row width len(dst)), adding in increasing t from +0 and
+// skipping a[t] == 0 — one output row of mat.Mul's ikj loop. Four rows
+// are folded per pass over dst, the running value held in a register.
+func sumRows(dst, a, src []float64) {
+	w := len(dst)
+	clear(dst)
+	t := 0
+	for {
+		var rows [4][]float64
+		var coef [4]float64
+		m := 0
+		for ; t < len(a) && m < 4; t++ {
+			if a[t] != 0 {
+				rows[m], coef[m] = src[t*w:(t+1)*w], a[t]
+				m++
+			}
+		}
+		if m < 4 {
+			for r := 0; r < m; r++ {
+				c0, r0 := coef[r], rows[r][:w]
+				for c := range dst {
+					dst[c] += c0 * r0[c]
+				}
+			}
+			return
+		}
+		c0, c1, c2, c3 := coef[0], coef[1], coef[2], coef[3]
+		r0, r1, r2, r3 := rows[0][:w], rows[1][:w], rows[2][:w], rows[3][:w]
+		for c, v := range dst {
+			v += c0 * r0[c]
+			v += c1 * r1[c]
+			v += c2 * r2[c]
+			v += c3 * r3[c]
+			dst[c] = v
+		}
+	}
 }
 
 // Activation is an elementwise nonlinearity with derivative computed from
@@ -112,6 +253,7 @@ type Activation struct {
 	fn    func(float64) float64
 	deriv func(y float64) float64 // derivative expressed in terms of output y
 	lastY *mat.Matrix
+	out   mat.Matrix // Forward's workspace, dropped by release
 }
 
 // ReLU returns a rectified linear activation layer.
@@ -146,24 +288,41 @@ func Sigmoid() *Activation {
 	}
 }
 
-// Forward applies the nonlinearity elementwise.
+// Forward applies the nonlinearity elementwise into the layer's output
+// workspace.
 func (a *Activation) Forward(x *mat.Matrix) *mat.Matrix {
-	a.lastY = x.Apply(a.fn)
+	a.lastY = a.out.Reuse(x.Dims())
+	y := a.lastY.RawData()
+	for i, v := range x.RawData() {
+		y[i] = a.fn(v)
+	}
 	return a.lastY
 }
 
-// Infer applies the nonlinearity without caching the output for Backward.
+// Infer applies the nonlinearity into a fresh matrix without caching the
+// output for Backward.
 func (a *Activation) Infer(x *mat.Matrix) *mat.Matrix {
 	return x.Apply(a.fn)
 }
 
-// Backward scales the upstream gradient by the local derivative.
+// Backward scales the upstream gradient by the local derivative, in
+// place, and returns it.
 func (a *Activation) Backward(grad *mat.Matrix) *mat.Matrix {
 	if a.lastY == nil {
 		panic("nn: Activation backward before forward")
 	}
-	return grad.Hadamard(a.lastY.Apply(a.deriv))
+	if grad.Rows() != a.lastY.Rows() || grad.Cols() != a.lastY.Cols() {
+		panic("nn: Activation backward gradient shape differs from its forward output")
+	}
+	g := grad.RawData()
+	for i, y := range a.lastY.RawData()[:len(g)] {
+		g[i] *= a.deriv(y)
+	}
+	return grad
 }
+
+// release drops the output workspace and the cached output.
+func (a *Activation) release() { a.lastY, a.out = nil, mat.Matrix{} }
 
 // Params reports no trainable parameters.
 func (a *Activation) Params() []Param { return nil }

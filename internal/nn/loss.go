@@ -7,30 +7,34 @@ import (
 	"github.com/neuralcompile/glimpse/internal/mat"
 )
 
-// MSELoss returns the mean-squared error over the batch and ∂L/∂pred.
-func MSELoss(pred, target *mat.Matrix) (float64, *mat.Matrix) {
+// MSELoss returns the mean-squared error over the batch and writes
+// ∂L/∂pred into grad, which must have pred's shape.
+func MSELoss(pred, target, grad *mat.Matrix) float64 {
+	checkLossShapes("MSELoss", pred, target, grad)
 	pr, pc := pred.Dims()
-	tr, tc := target.Dims()
-	if pr != tr || pc != tc {
-		panic(fmt.Sprintf("nn: MSELoss %dx%d vs %dx%d", pr, pc, tr, tc))
-	}
-	diff := pred.Sub(target)
-	n := float64(pr * pc)
+	g, t := grad.RawData(), target.RawData()
 	loss := 0.0
-	for i := 0; i < pr; i++ {
-		for _, v := range diff.RawRow(i) {
-			loss += v * v
-		}
+	for i, p := range pred.RawData() {
+		v := p - t[i]
+		g[i] = v
+		loss += v * v
 	}
-	grad := diff.Scale(2 / n)
-	return loss / n, grad
+	n := float64(pr * pc)
+	grad.ScaleInPlace(2 / n)
+	return loss / n
 }
 
 // Softmax applies a row-wise softmax with max-subtraction for stability.
 func Softmax(logits *mat.Matrix) *mat.Matrix {
 	out := logits.Clone()
-	for i := 0; i < out.Rows(); i++ {
-		row := out.RawRow(i)
+	softmaxRows(out)
+	return out
+}
+
+// softmaxRows replaces every row of m by its softmax.
+func softmaxRows(m *mat.Matrix) {
+	for i := 0; i < m.Rows(); i++ {
+		row := m.RawRow(i)
 		mx := row[0]
 		for _, v := range row[1:] {
 			if v > mx {
@@ -47,19 +51,18 @@ func Softmax(logits *mat.Matrix) *mat.Matrix {
 			row[j] /= sum
 		}
 	}
-	return out
 }
 
 // CrossEntropyLoss computes the mean softmax cross-entropy against one-hot
-// rows of target (each row of target must sum to 1), returning the loss and
-// ∂L/∂logits.
-func CrossEntropyLoss(logits, target *mat.Matrix) (float64, *mat.Matrix) {
-	pr, pc := logits.Dims()
-	tr, tc := target.Dims()
-	if pr != tr || pc != tc {
-		panic(fmt.Sprintf("nn: CrossEntropyLoss %dx%d vs %dx%d", pr, pc, tr, tc))
-	}
-	probs := Softmax(logits)
+// rows of target (each row of target must sum to 1) and writes
+// ∂L/∂logits into grad, which must have the logits' shape.
+func CrossEntropyLoss(logits, target, grad *mat.Matrix) float64 {
+	checkLossShapes("CrossEntropyLoss", logits, target, grad)
+	pr := logits.Rows()
+	// grad holds the softmax probabilities until they become the gradient.
+	probs := grad
+	copy(probs.RawData(), logits.RawData())
+	softmaxRows(probs)
 	loss := 0.0
 	for i := 0; i < pr; i++ {
 		p, t := probs.RawRow(i), target.RawRow(i)
@@ -70,9 +73,22 @@ func CrossEntropyLoss(logits, target *mat.Matrix) (float64, *mat.Matrix) {
 		}
 	}
 	// ∂L/∂logits = (softmax - target) / batch.
-	grad := probs.Sub(target)
+	g, t := grad.RawData(), target.RawData()
+	for i := range g {
+		g[i] -= t[i]
+	}
 	grad.ScaleInPlace(1 / float64(pr))
-	return loss / float64(pr), grad
+	return loss / float64(pr)
+}
+
+// checkLossShapes panics unless pred, target and grad share one shape.
+func checkLossShapes(name string, pred, target, grad *mat.Matrix) {
+	pr, pc := pred.Dims()
+	tr, tc := target.Dims()
+	gr, gc := grad.Dims()
+	if pr != tr || pc != tc || pr != gr || pc != gc {
+		panic(fmt.Sprintf("nn: %s %dx%d vs %dx%d, grad %dx%d", name, pr, pc, tr, tc, gr, gc))
+	}
 }
 
 // KLDivergence returns the mean KL(target ‖ pred-probabilities) over rows,

@@ -38,15 +38,10 @@ func (n *Network) Forward(x *mat.Matrix) *mat.Matrix {
 	return x
 }
 
-// Predict evaluates the network on a single feature vector.
-func (n *Network) Predict(x []float64) []float64 {
-	out := n.Forward(mat.NewFromData(1, len(x), append([]float64(nil), x...)))
-	return out.Row(0)
-}
-
 // InferBatch runs a batch through all layers without touching the
-// training caches, so it is safe to call from multiple goroutines on a
-// frozen network. It computes exactly what Forward computes.
+// training caches or workspaces, so it is safe to call from multiple
+// goroutines on a frozen network. It computes exactly what Forward
+// computes.
 func (n *Network) InferBatch(x *mat.Matrix) *mat.Matrix {
 	for _, l := range n.Layers {
 		x = l.Infer(x)
@@ -54,8 +49,9 @@ func (n *Network) InferBatch(x *mat.Matrix) *mat.Matrix {
 	return x
 }
 
-// Infer evaluates the network on a single feature vector without caching;
-// the thread-safe counterpart of Predict.
+// Infer evaluates the network on a single feature vector. It is the
+// concurrency-safe way to use a trained network: Forward and Backward
+// write per-layer training state.
 func (n *Network) Infer(x []float64) []float64 {
 	out := n.InferBatch(mat.NewFromData(1, len(x), append([]float64(nil), x...)))
 	return out.Row(0)
@@ -69,9 +65,35 @@ func (n *Network) Backward(grad *mat.Matrix) *mat.Matrix {
 	return grad
 }
 
+// trainBackward is Backward for a training step: it skips the first
+// layer's input gradient, which nothing reads, when that layer is Dense.
+func (n *Network) trainBackward(grad *mat.Matrix) {
+	if len(n.Layers) == 0 {
+		return
+	}
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		grad = n.Layers[i].Backward(grad)
+	}
+	if d, ok := n.Layers[0].(*Dense); ok {
+		d.accumulate(grad)
+		return
+	}
+	n.Layers[0].Backward(grad)
+}
+
+// release drops every layer's training workspaces and cached batch, so a
+// trained network holds only its parameters and gradients.
+func (n *Network) release() {
+	for _, l := range n.Layers {
+		if r, ok := l.(interface{ release() }); ok {
+			r.release()
+		}
+	}
+}
+
 // Params returns all parameter/gradient pairs in layer order.
 func (n *Network) Params() []Param {
-	var out []Param
+	out := make([]Param, 0, 2*len(n.Layers))
 	for _, l := range n.Layers {
 		out = append(out, l.Params()...)
 	}

@@ -39,7 +39,8 @@ func TestBackpropNumericalGradient(t *testing.T) {
 
 	net.ZeroGrad()
 	pred := net.Forward(x)
-	_, grad := MSELoss(pred, y)
+	grad := mat.New(pred.Dims())
+	MSELoss(pred, y, grad)
 	net.Backward(grad)
 
 	const eps = 1e-6
@@ -49,9 +50,9 @@ func TestBackpropNumericalGradient(t *testing.T) {
 			for j := 0; j < c; j++ {
 				orig := p.Value.At(i, j)
 				p.Value.Set(i, j, orig+eps)
-				lp, _ := MSELoss(net.Forward(x), y)
+				lp := MSELoss(net.Forward(x), y, grad)
 				p.Value.Set(i, j, orig-eps)
-				lm, _ := MSELoss(net.Forward(x), y)
+				lm := MSELoss(net.Forward(x), y, grad)
 				p.Value.Set(i, j, orig)
 				numGrad := (lp - lm) / (2 * eps)
 				anaGrad := p.Grad.At(i, j)
@@ -73,7 +74,7 @@ func TestFitLearnsXOR(t *testing.T) {
 		t.Fatalf("XOR final loss = %g want < 0.01", loss)
 	}
 	for i := 0; i < 4; i++ {
-		pred := net.Predict(x.Row(i))[0]
+		pred := net.Infer(x.Row(i))[0]
 		if math.Abs(pred-y.At(i, 0)) > 0.2 {
 			t.Fatalf("XOR pred[%d] = %g want %g", i, pred, y.At(i, 0))
 		}
@@ -118,7 +119,8 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 func TestCrossEntropyGradientDirection(t *testing.T) {
 	logits := mat.NewFromRows([][]float64{{2, 0, 0}})
 	target := mat.NewFromRows([][]float64{{0, 1, 0}})
-	loss, grad := CrossEntropyLoss(logits, target)
+	grad := mat.New(logits.Dims())
+	loss := CrossEntropyLoss(logits, target, grad)
 	if loss <= 0 {
 		t.Fatalf("loss = %g want > 0", loss)
 	}
@@ -146,7 +148,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	g := rng.New(5)
 	net := NewMLP([]int{3, 5, 2}, ReLU, g)
 	in := []float64{0.1, 0.2, 0.3}
-	want := net.Predict(in)
+	want := net.Infer(in)
 
 	data, err := json.Marshal(net)
 	if err != nil {
@@ -156,7 +158,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &restored); err != nil {
 		t.Fatal(err)
 	}
-	got := restored.Predict(in)
+	got := restored.Infer(in)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Fatalf("restored pred %v want %v", got, want)

@@ -67,18 +67,15 @@ func (o *Adam) Step(params []Param) {
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
 	for i, p := range params {
-		m, v := o.m[i], o.v[i]
-		r, c := p.Value.Dims()
-		for row := 0; row < r; row++ {
-			for col := 0; col < c; col++ {
-				g := p.Grad.At(row, col)
-				mNew := o.Beta1*m.At(row, col) + (1-o.Beta1)*g
-				vNew := o.Beta2*v.At(row, col) + (1-o.Beta2)*g*g
-				m.Set(row, col, mNew)
-				v.Set(row, col, vNew)
-				update := o.LR * (mNew / bc1) / (math.Sqrt(vNew/bc2) + o.Eps)
-				p.Value.Set(row, col, p.Value.At(row, col)-update)
-			}
+		val, grad := p.Value.RawData(), p.Grad.RawData()
+		m, v := o.m[i].RawData()[:len(val)], o.v[i].RawData()[:len(val)]
+		grad = grad[:len(val)]
+		for j, g := range grad {
+			mNew := o.Beta1*m[j] + (1-o.Beta1)*g
+			vNew := o.Beta2*v[j] + (1-o.Beta2)*g*g
+			m[j], v[j] = mNew, vNew
+			update := o.LR * (mNew / bc1) / (math.Sqrt(vNew/bc2) + o.Eps)
+			val[j] -= update
 		}
 	}
 }
@@ -87,12 +84,8 @@ func (o *Adam) Step(params []Param) {
 func ClipGradients(params []Param, max float64) {
 	total := 0.0
 	for _, p := range params {
-		r, c := p.Grad.Dims()
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				g := p.Grad.At(i, j)
-				total += g * g
-			}
+		for _, g := range p.Grad.RawData() {
+			total += g * g
 		}
 	}
 	norm := math.Sqrt(total)

@@ -7,6 +7,7 @@ import (
 	"github.com/neuralcompile/glimpse/internal/hwspec"
 	"github.com/neuralcompile/glimpse/internal/mat"
 	"github.com/neuralcompile/glimpse/internal/nn"
+	"github.com/neuralcompile/glimpse/internal/parallel"
 	"github.com/neuralcompile/glimpse/internal/rng"
 	"github.com/neuralcompile/glimpse/internal/workload"
 )
@@ -50,31 +51,46 @@ func Train(emb *blueprint.Embedding, gpus []hwspec.Spec, tasks []workload.Task,
 		byKind[ex.Kind] = append(byKind[ex.Kind], ex)
 	}
 
-	m := &Model{Emb: emb, Nets: make(map[workload.Kind]*nn.Network)}
+	// The heads are independent and each draws from its own Split stream,
+	// so they train concurrently with byte-identical results.
+	kinds := sortedKinds(byKind)
+	nets := make([]*nn.Network, len(kinds))
+	errs := make([]error, len(kinds))
 	inDim := InputDim(emb.Dim)
-	for _, kind := range sortedKinds(byKind) {
-		exs := byKind[kind]
-		layout := MustLayoutFor(kind)
-		x := mat.New(len(exs), inDim)
-		y := mat.New(len(exs), layout.TotalLen)
-		for i, ex := range exs {
-			if len(ex.Input) != inDim {
-				return nil, fmt.Errorf("prior: example input dim %d want %d", len(ex.Input), inDim)
-			}
-			x.SetRow(i, ex.Input)
-			y.SetRow(i, ex.Target)
+	parallel.For(0, len(kinds), func(i int) {
+		nets[i], errs[i] = trainHead(kinds[i], byKind[kinds[i]], inDim, cfg, g)
+	})
+	m := &Model{Emb: emb, Nets: make(map[workload.Kind]*nn.Network, len(kinds))}
+	for i, kind := range kinds {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		net := nn.NewMLP([]int{inDim, cfg.Hidden, cfg.Hidden, layout.TotalLen}, nn.Tanh,
-			g.Split(fmt.Sprintf("net/%v", kind)))
-		nn.Fit(net, x, y, nn.TrainConfig{
-			Epochs:    cfg.Epochs,
-			BatchSize: 16,
-			Optimizer: nn.NewAdam(2e-3),
-			ClipNorm:  10,
-		}, g.Split(fmt.Sprintf("fit/%v", kind)))
-		m.Nets[kind] = net
+		m.Nets[kind] = nets[i]
 	}
 	return m, nil
+}
+
+// trainHead fits the hypernetwork head for one template kind.
+func trainHead(kind workload.Kind, exs []Example, inDim int, cfg TrainConfig, g *rng.RNG) (*nn.Network, error) {
+	layout := MustLayoutFor(kind)
+	x := mat.New(len(exs), inDim)
+	y := mat.New(len(exs), layout.TotalLen)
+	for i, ex := range exs {
+		if len(ex.Input) != inDim {
+			return nil, fmt.Errorf("prior: example input dim %d want %d", len(ex.Input), inDim)
+		}
+		x.SetRow(i, ex.Input)
+		y.SetRow(i, ex.Target)
+	}
+	net := nn.NewMLP([]int{inDim, cfg.Hidden, cfg.Hidden, layout.TotalLen}, nn.Tanh,
+		g.Split(fmt.Sprintf("net/%v", kind)))
+	nn.Fit(net, x, y, nn.TrainConfig{
+		Epochs:    cfg.Epochs,
+		BatchSize: 16,
+		Optimizer: nn.NewAdam(2e-3),
+		ClipNorm:  10,
+	}, g.Split(fmt.Sprintf("fit/%v", kind)))
+	return net, nil
 }
 
 // Distributions runs H for one task on one (possibly unseen) target GPU,
@@ -88,6 +104,6 @@ func (m *Model) Distributions(task workload.Task, spec hwspec.Spec) (*Dist, erro
 	if err != nil {
 		return nil, err
 	}
-	params := net.Predict(TaskInput(task, m.Emb.Embed(spec)))
+	params := net.Infer(TaskInput(task, m.Emb.Embed(spec)))
 	return NewDist(layout, params)
 }

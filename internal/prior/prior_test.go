@@ -2,6 +2,7 @@ package prior
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/neuralcompile/glimpse/internal/blueprint"
@@ -199,6 +200,15 @@ func TestTaskInputDim(t *testing.T) {
 // trainSmallModel trains H on a reduced pool for test speed.
 func trainSmallModel(t *testing.T, target string) *Model {
 	t.Helper()
+	return trainModel(t, target, TrainConfig{
+		Dataset: DatasetConfig{SamplesPerTask: 150, TopK: 16},
+		Epochs:  200,
+	})
+}
+
+// trainModel trains H on the reduced pool and task set with cfg.
+func trainModel(t *testing.T, target string, cfg TrainConfig) *Model {
+	t.Helper()
 	specs := hwspec.Registry()
 	emb, err := blueprint.Build(specs, 6)
 	if err != nil {
@@ -229,10 +239,7 @@ func trainSmallModel(t *testing.T, target string) *Model {
 		}
 		tasks = append(tasks, task)
 	}
-	m, err := Train(emb, pool, tasks, TrainConfig{
-		Dataset: DatasetConfig{SamplesPerTask: 150, TopK: 16},
-		Epochs:  200,
-	}, rng.New(7))
+	m, err := Train(emb, pool, tasks, cfg, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,5 +297,67 @@ func TestDistributionsUnknownKind(t *testing.T) {
 	}
 	if _, err := m.Distributions(task, hwspec.MustByName(hwspec.TitanXp)); err == nil {
 		t.Fatal("missing head accepted")
+	}
+}
+
+// TestDistributionsConcurrent covers glimpsed sessions that share one
+// toolkit: many goroutines call Distributions on one Model and must get
+// exactly the serial answers (run under -race in make check).
+func TestDistributionsConcurrent(t *testing.T) {
+	m := trainModel(t, hwspec.RTX2070Super, TrainConfig{
+		Dataset: DatasetConfig{SamplesPerTask: 40, TopK: 8},
+		Epochs:  5,
+	})
+	var tasks []workload.Task
+	for _, l := range []int{2, 3, 8, 11} {
+		task, err := workload.TaskByIndex(workload.AlexNet, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, task)
+	}
+	specs := []hwspec.Spec{hwspec.MustByName(hwspec.RTX2070Super), hwspec.MustByName(hwspec.RTX3090)}
+	var want [][]float64
+	for _, task := range tasks {
+		for _, spec := range specs {
+			d, err := m.Distributions(task, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, d.Params)
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				i := 0
+				for _, task := range tasks {
+					for _, spec := range specs {
+						d, err := m.Distributions(task, spec)
+						if err != nil {
+							errs <- err.Error()
+							return
+						}
+						for j, p := range d.Params {
+							if math.Float64bits(p) != math.Float64bits(want[i][j]) {
+								errs <- "concurrent Distributions diverged from the serial result"
+								return
+							}
+						}
+						i++
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if msg, open := <-errs; open {
+		t.Fatal(msg)
 	}
 }

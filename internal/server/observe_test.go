@@ -266,6 +266,64 @@ func TestMetricszReconcilesLedger(t *testing.T) {
 	}
 }
 
+// TestTerminalJobIsAlreadyCounted repeats the client sequence behind
+// TestMetricszReconcilesLedger — poll a job until it is terminal, then
+// read /telemetryz — and requires the availability SLO and the done
+// counter to include every job the client has seen finish. Jobs after the
+// first are exact cache hits, so the loop is fast.
+func TestTerminalJobIsAlreadyCounted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a tuning session")
+	}
+	dir := t.TempDir()
+	s, base := newTestServer(t, dir, func(c *Config) {
+		c.CachePath = dir + "/tuned.jsonl"
+		c.SLOs = SLOConfig{AvailObjective: 0.95}
+	})
+	defer drainNow(t, s)
+	spec := JobSpec{Model: workload.AlexNet, TaskIndex: 2, GPU: hwspec.TitanXp,
+		Seed: 5, MaxMeasurements: 16, Tenant: "acme"}
+	for n := int64(1); n <= 40; n++ {
+		// Poll without pausing, to land as close as possible to the
+		// moment the job turns terminal.
+		id, deadline := submitJob(t, base, spec), time.Now().Add(120*time.Second)
+		v := getJob(t, base, id)
+		for ; !v.State.terminal(); v = getJob(t, base, id) {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d still %s", n, v.State)
+			}
+		}
+		if v.State != StateDone {
+			t.Fatalf("job %d ended %s", n, v.State)
+		}
+		resp, err := http.Get(base + "/telemetryz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var view struct {
+			SLOs    []SLOStatus        `json:"slos"`
+			Metrics telemetry.Snapshot `json:"metrics"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&view)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(view.SLOs) != 1 || view.SLOs[0].Total != n {
+			t.Fatalf("after %d terminal jobs the SLOs count %+v", n, view.SLOs)
+		}
+		done := -1.0
+		for _, c := range view.Metrics.Counters {
+			if c.Name == telemetry.Labeled(mJobsDone, "tenant", "acme") {
+				done = c.Value
+			}
+		}
+		if int64(done) != n {
+			t.Fatalf("after %d terminal jobs %s = %v", n, mJobsDone, done)
+		}
+	}
+}
+
 // TestTracedRunStreamByteIdentical: turning tracing on (without SLOs)
 // must not change one byte of the job's SSE stream or its result — the
 // determinism contract for the observability layer.

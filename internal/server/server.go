@@ -433,6 +433,18 @@ func (s *Server) requeue(j *Job, detail string) {
 // finishJob journals and publishes a terminal transition, closing the
 // job's stream.
 func (s *Server) finishJob(j *Job, state JobState, detail string, res *tuner.Result) {
+	// Outcome metrics and SLO accounting come first: a client that sees
+	// the job terminal on GET /v1/jobs/{id} must find it counted on
+	// /metricsz and /telemetryz, and the burn stamped on the terminal
+	// event must reflect this job's own outcome.
+	switch state {
+	case StateDone:
+		s.tenantCounter(mJobsDone, j.Spec.Tenant).Inc()
+		s.slo.observeOutcome(true)
+	case StateFailed:
+		s.tenantCounter(mJobsFailed, j.Spec.Tenant).Inc()
+		s.slo.observeOutcome(false)
+	}
 	s.mu.Lock()
 	j.State = state
 	j.Detail = detail
@@ -443,16 +455,6 @@ func (s *Server) finishJob(j *Job, state JobState, detail string, res *tuner.Res
 	s.mu.Unlock()
 	if err := s.store.appendState(&snap); err != nil {
 		s.logf("glimpsed: job %s: journal: %v\n", j.ID, err)
-	}
-	// Outcome metrics and SLO accounting precede the publish so the burn
-	// stamped on the terminal event reflects this job's own outcome.
-	switch state {
-	case StateDone:
-		s.tenantCounter(mJobsDone, j.Spec.Tenant).Inc()
-		s.slo.observeOutcome(true)
-	case StateFailed:
-		s.tenantCounter(mJobsFailed, j.Spec.Tenant).Inc()
-		s.slo.observeOutcome(false)
 	}
 	ev := ProgressEvent{Kind: "state", State: string(state), Detail: detail}
 	if s.slo != nil {
