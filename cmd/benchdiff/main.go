@@ -9,10 +9,7 @@
 // A benchmark regresses when its fresh ns/op exceeds the baseline by more
 // than -threshold (default 20%) and the absolute time is above -floor-ns
 // (sub-floor benchmarks are timer-resolution noise), or when its allocs/op
-// grew by more than the same threshold. With -soft-time a time
-// regression is still reported, as "slower (soft)", but only allocs/op —
-// deterministic, unlike wall time on a shared runner — fails the diff.
-// Benchmarks present in only one
+// grew by more than the same threshold. Benchmarks present in only one
 // side are reported but never fail the diff — CI machines differ, new
 // benchmarks appear, and the gate should only trip on like-for-like
 // regressions. Exit status 1 means at least one regression.
@@ -24,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"github.com/neuralcompile/glimpse/internal/metrics"
 )
@@ -40,7 +36,6 @@ func main() {
 	baseline := flag.String("baseline", "", "committed baseline JSON (benchjson output); required")
 	threshold := flag.Float64("threshold", 0.20, "relative regression tolerance (0.20 = +20%)")
 	floorNS := flag.Float64("floor-ns", 20, "ignore ns/op regressions entirely below this absolute time")
-	softTime := flag.Bool("soft-time", false, "report ns/op regressions without failing; only allocs/op gates")
 	flag.Parse()
 	if *baseline == "" {
 		fail(fmt.Errorf("-baseline is required"))
@@ -60,7 +55,7 @@ func main() {
 		fail(err)
 	}
 
-	table, regressions := diff(base, fresh, *threshold, *floorNS, *softTime)
+	table, regressions := diff(base, fresh, *threshold, *floorNS)
 	fmt.Print(table.String())
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) beyond %.0f%%\n", regressions, *threshold*100)
@@ -69,9 +64,8 @@ func main() {
 }
 
 // diff compares fresh records to the baseline by name and returns the
-// rendered comparison plus the number of regressions; with softTime a
-// time-only regression is reported but not counted.
-func diff(base, fresh []record, threshold, floorNS float64, softTime bool) (*metrics.Table, int) {
+// rendered comparison plus the number of regressions.
+func diff(base, fresh []record, threshold, floorNS float64) (*metrics.Table, int) {
 	byName := map[string]record{}
 	for _, b := range base {
 		byName[b.Name] = b
@@ -98,14 +92,12 @@ func diff(base, fresh []record, threshold, floorNS float64, softTime bool) (*met
 		switch {
 		case nsBad && allocBad:
 			verdict = "REGRESSED (time, allocs)"
-		case nsBad && softTime:
-			verdict = "slower (soft)"
 		case nsBad:
 			verdict = "REGRESSED (time)"
 		case allocBad:
 			verdict = "REGRESSED (allocs)"
 		}
-		if strings.HasPrefix(verdict, "REGRESSED") {
+		if verdict != "ok" {
 			regressions++
 		}
 		table.AddRow(f.Name,

@@ -22,7 +22,7 @@ func TestDiffVerdicts(t *testing.T) {
 		{Name: "TinyNoise", NsPerOp: 8, AllocsOp: 0}, // +100% but below floor
 		{Name: "Fresh", NsPerOp: 1000, AllocsOp: 10}, // not in baseline
 	}
-	table, regressions := diff(base, fresh, 0.20, 20, false)
+	table, regressions := diff(base, fresh, 0.20, 20)
 	if regressions != 3 {
 		t.Fatalf("regressions = %d, want 3 (Slower, Allocy, Both):\n%s", regressions, table.String())
 	}
@@ -58,11 +58,11 @@ func TestDiffVerdicts(t *testing.T) {
 func TestDiffAllocGrowthNeedsAbsoluteIncrease(t *testing.T) {
 	base := []record{{Name: "ZeroAlloc", NsPerOp: 5, AllocsOp: 0}}
 	fresh := []record{{Name: "ZeroAlloc", NsPerOp: 5, AllocsOp: 0}}
-	if _, n := diff(base, fresh, 0.20, 20, false); n != 0 {
+	if _, n := diff(base, fresh, 0.20, 20); n != 0 {
 		t.Fatalf("zero-alloc steady state flagged as regression (%d)", n)
 	}
 	fresh[0].AllocsOp = 1
-	if _, n := diff(base, fresh, 0.20, 20, false); n != 1 {
+	if _, n := diff(base, fresh, 0.20, 20); n != 1 {
 		t.Fatal("0 -> 1 alloc growth must regress")
 	}
 }
@@ -77,19 +77,5 @@ func TestDecodeRecordsRejectsEmpty(t *testing.T) {
 	recs, err := decodeRecords(strings.NewReader(`[{"name":"A","ns_per_op":3}]`), "x")
 	if err != nil || len(recs) != 1 || recs[0].Name != "A" {
 		t.Fatalf("decode: %v %+v", err, recs)
-	}
-}
-
-// TestDiffSoftTime: with softTime a time-only regression is reported but
-// does not count; an alloc regression still does.
-func TestDiffSoftTime(t *testing.T) {
-	base := []record{{Name: "Slower", NsPerOp: 100, AllocsOp: 0}, {Name: "Allocy", NsPerOp: 100, AllocsOp: 0}}
-	fresh := []record{{Name: "Slower", NsPerOp: 300, AllocsOp: 0}, {Name: "Allocy", NsPerOp: 100, AllocsOp: 1}}
-	table, n := diff(base, fresh, 0.20, 20, true)
-	if n != 1 {
-		t.Fatalf("regressions = %d, want 1 (Allocy only):\n%s", n, table.String())
-	}
-	if out := table.String(); !strings.Contains(out, "slower (soft)") || !strings.Contains(out, "REGRESSED (allocs)") {
-		t.Fatalf("verdicts missing:\n%s", out)
 	}
 }

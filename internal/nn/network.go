@@ -65,22 +65,6 @@ func (n *Network) Backward(grad *mat.Matrix) *mat.Matrix {
 	return grad
 }
 
-// trainBackward is Backward for a training step: it skips the first
-// layer's input gradient, which nothing reads, when that layer is Dense.
-func (n *Network) trainBackward(grad *mat.Matrix) {
-	if len(n.Layers) == 0 {
-		return
-	}
-	for i := len(n.Layers) - 1; i > 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
-	if d, ok := n.Layers[0].(*Dense); ok {
-		d.accumulate(grad)
-		return
-	}
-	n.Layers[0].Backward(grad)
-}
-
 // release drops every layer's training workspaces and cached batch, so a
 // trained network holds only its parameters and gradients.
 func (n *Network) release() {

@@ -93,7 +93,7 @@ func (s *trainStep) step(idx []int) float64 {
 	}
 	pred := s.net.Forward(bx)
 	l := s.cfg.Loss(pred, by, s.dy.Reuse(pred.Dims()))
-	s.net.trainBackward(&s.dy)
+	s.net.Backward(&s.dy)
 	if s.cfg.ClipNorm > 0 {
 		ClipGradients(s.params, s.cfg.ClipNorm)
 	}
