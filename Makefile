@@ -59,14 +59,15 @@ test:
 # scoring and the tuners both call into the pooled scoring paths, and the
 # tuned-config cache takes concurrent Puts from fleet workers. nn and prior
 # cover the shared-toolkit inference that concurrent glimpsed sessions do
-# and H's concurrently trained heads.
+# and H's concurrently trained heads. tlog holds the concurrent log Writer
+# and OpenAppend, the kill-safe open path of every durable JSONL log.
 .PHONY: race
 race:
 	$(GO) test -race ./internal/fleet/... ./internal/measure/... ./internal/faults/... \
 		./internal/parallel/... ./internal/anneal/... ./internal/gbt/... \
 		./internal/sampler/... ./internal/acq/... ./internal/nn/... \
 		./internal/prior/... ./internal/core/... ./internal/tuner/... \
-		./internal/cache/... ./internal/server/...
+		./internal/cache/... ./internal/server/... ./internal/tlog/...
 
 .PHONY: bench
 bench:

@@ -32,7 +32,7 @@
 package main
 
 import (
-	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -153,18 +153,16 @@ func main() {
 		// Resume sequence numbering from whatever the log already holds, so
 		// appended sessions extend it instead of restarting at 1.
 		lastSeq := 0
-		if existing, err := os.ReadFile(*logPath); err == nil {
-			entries, err := tlog.Read(bytes.NewReader(existing))
-			if err != nil {
-				fail(fmt.Errorf("existing log %s: %w", *logPath, err))
+		f, err := tlog.OpenAppend(*logPath, func(line []byte) error {
+			var e tlog.Entry
+			if err := json.Unmarshal(line, &e); err != nil {
+				return err
 			}
-			if len(entries) > 0 {
-				lastSeq = entries[len(entries)-1].Seq
-			}
-		}
-		f, err := os.OpenFile(*logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			lastSeq = e.Seq
+			return nil
+		})
 		if err != nil {
-			fail(err)
+			fail(fmt.Errorf("-log %s: %w", *logPath, err))
 		}
 		defer f.Close()
 		m = &tlog.RecordingMeasurer{Inner: m, Out: tlog.NewWriter(f, lastSeq)}

@@ -14,16 +14,17 @@
 //     paper's Fig. 5 leave-one-out transfer setting turned into
 //     serving infrastructure.
 //
-// The store shares the tlog/fleet-checkpoint append discipline: one JSON
-// line per entry, fsync after append, kill-safe reopen that repairs a torn
-// final line, and concurrent-writer safety for parallel fleet sessions.
+// The store is one of the durable JSONL logs that open through
+// tlog.OpenAppend: one JSON line per entry, kill-safe reopen that repairs
+// a torn final line, an fsync after every Put (like the fleet checkpoint
+// and the glimpsed job journal), and concurrent-writer safety for
+// parallel fleet sessions.
 package cache
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"sort"
@@ -93,8 +94,7 @@ type Stats struct {
 }
 
 // Store is a persistent tuned-config cache over one JSONL file. All
-// methods are safe for concurrent use; Append durability matches the
-// fleet checkpoint (fsync per Put, torn-tail repair on reopen).
+// methods are safe for concurrent use; every Put is fsync'd.
 type Store struct {
 	mu       sync.Mutex
 	f        *os.File // nil for a readonly store
@@ -109,28 +109,14 @@ func storeKey(fingerprint, device string) string {
 	return fingerprint + "\x00" + device
 }
 
-// Open opens (creating if absent) a tuned-config store. A file whose
-// writer was killed mid-append is repaired exactly like a fleet
-// checkpoint: an unterminated final line is kept if it parses as JSON and
-// truncated away otherwise. Any other malformed or invalid entry is a
-// hard error — a corrupt cache must not silently serve wrong configs.
+// Open opens (creating if absent) a tuned-config store. A tail torn by a
+// killed writer is repaired by tlog.OpenAppend. Any other malformed or
+// invalid entry is a hard error — a corrupt cache must not silently
+// serve wrong configs.
 func Open(path string) (*Store, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	s := NewMemory()
+	f, err := tlog.OpenAppend(path, s.replay)
 	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		_ = f.Close() // already on the error path; the read error wins
-		return nil, err
-	}
-	s, err := load(path, data)
-	if err != nil {
-		_ = f.Close() // already on the error path; the load error wins
-		return nil, err
-	}
-	if err := repairTail(f, data); err != nil {
-		_ = f.Close() // already on the error path; the repair error wins
 		return nil, fmt.Errorf("cache: %s: %w", path, err)
 	}
 	s.f = f
@@ -152,70 +138,34 @@ func OpenReadOnly(path string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := load(path, data)
-	if err != nil {
-		return nil, err
+	s := NewMemory()
+	if err := tlog.ReadJSONLines(bytes.NewReader(data), s.replay); err != nil {
+		return nil, fmt.Errorf("cache: %s: %w", path, err)
 	}
 	s.readonly = true
 	return s, nil
 }
 
-// load replays the JSONL bytes into the in-memory index, keeping the best
-// entry per (fingerprint, device).
-func load(path string, data []byte) (*Store, error) {
-	s := &Store{entries: map[string]Entry{}}
-	err := tlog.ReadJSONLines(bytes.NewReader(data), func(line []byte) error {
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return err
-		}
-		if err := e.validate(); err != nil {
-			return err
-		}
-		if e.Seq > s.seq {
-			s.seq = e.Seq
-		}
-		s.admit(e)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cache: %s: %w", path, err)
+// replay loads one stored JSONL line into the in-memory index, keeping
+// the best entry per (fingerprint, device).
+func (s *Store) replay(line []byte) error {
+	var e Entry
+	if err := json.Unmarshal(line, &e); err != nil {
+		return err
 	}
-	return s, nil
-}
-
-// admit installs an entry if it beats (strictly) what the index holds for
-// its key. Ties keep the incumbent so replay order cannot flap the result.
-func (s *Store) admit(e Entry) bool {
+	if err := e.validate(); err != nil {
+		return err
+	}
+	if e.Seq > s.seq {
+		s.seq = e.Seq
+	}
+	// Only a strictly better entry replaces the incumbent, so replay
+	// order cannot flap the result.
 	key := storeKey(e.Fingerprint, e.Device)
-	if old, ok := s.entries[key]; ok && old.GFLOPS >= e.GFLOPS {
-		return false
+	if old, ok := s.entries[key]; !ok || e.GFLOPS > old.GFLOPS {
+		s.entries[key] = e
 	}
-	s.entries[key] = e
-	return true
-}
-
-// repairTail leaves f positioned at the end of the last complete line,
-// terminating or discarding a partial trailing write.
-func repairTail(f *os.File, data []byte) error {
-	if len(data) == 0 || data[len(data)-1] == '\n' {
-		_, err := f.Seek(int64(len(data)), io.SeekStart)
-		return err
-	}
-	cut := bytes.LastIndexByte(data, '\n') + 1
-	if tail := bytes.TrimSpace(data[cut:]); json.Valid(tail) {
-		// Complete JSON missing only its newline: terminate it in place.
-		if _, err := f.Seek(int64(len(data)), io.SeekStart); err != nil {
-			return err
-		}
-		_, err := f.Write([]byte("\n"))
-		return err
-	}
-	if err := f.Truncate(int64(cut)); err != nil {
-		return err
-	}
-	_, err := f.Seek(int64(cut), io.SeekStart)
-	return err
+	return nil
 }
 
 // SetMetrics mirrors the store's hit/miss/put counters into a telemetry
@@ -346,7 +296,7 @@ func (s *Store) Put(e Entry) (stored bool, err error) {
 	s.seq++
 	e.Seq = s.seq
 	if s.f != nil {
-		if err := tlog.AppendJSONLine(s.f, e); err != nil {
+		if err := telemetry.AppendJSONLine(s.f, e); err != nil {
 			return false, err
 		}
 		if err := s.f.Sync(); err != nil {

@@ -22,60 +22,82 @@ func entryLine(t *testing.T, fp, device string, seq int, gflops float64) string 
 	return string(b)
 }
 
-func TestReopenTornInvalidTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	good := entryLine(t, "fp", "titan-xp", 1, 500)
-	// A writer killed mid-append leaves a truncated, unparseable tail.
-	torn := good[:len(good)/2]
-	if err := os.WriteFile(path, []byte(good+"\n"+torn), 0o644); err != nil {
+// tornFixture is a three-entry store file plus the offset of each line's
+// newline: cutting the file anywhere models a kill at that byte.
+func tornFixture(t *testing.T) (full string, newlines []int) {
+	t.Helper()
+	for i, fp := range []string{"fp1", "fp2", "fp3"} {
+		full += entryLine(t, fp, "titan-xp", i+1, float64(100*(i+1)))
+		newlines = append(newlines, len(full))
+		full += "\n"
+	}
+	return full, newlines
+}
+
+// reopenAfterCut writes full[:off], opens it, Puts one new entry, and
+// reopens: the first open must hold want entries and the second want+1.
+func reopenAfterCut(t *testing.T, path, full string, off, want int) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(full[:off]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	s := openStore(t, path)
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d want 1 (torn tail must be dropped, good line kept)", s.Len())
+	s, err := Open(path)
+	if err != nil {
+		t.Fatalf("offset %d: %v", off, err)
 	}
-	// The torn bytes must be gone: the next Put appends a clean line.
-	if _, err := s.Put(testEntry(t, "fp2", "rtx-3090", 2, 600)); err != nil {
+	if s.Len() != want {
+		t.Fatalf("offset %d: Len = %d want %d", off, s.Len(), want)
+	}
+	if _, err := s.Put(testEntry(t, "fp-new", "rtx-3090", 2, 600)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	re, err := Open(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("offset %d: reopen after repair+put: %v", off, err)
 	}
-	if strings.Contains(string(data), torn+"{") || !strings.HasSuffix(string(data), "\n") {
-		t.Fatalf("file not repaired cleanly:\n%s", data)
-	}
-	re := openStore(t, path)
-	if re.Len() != 2 {
-		t.Fatalf("reopened Len = %d want 2", re.Len())
+	defer re.Close()
+	if re.Len() != want+1 {
+		t.Fatalf("offset %d: reopened Len = %d want %d", off, re.Len(), want+1)
 	}
 }
 
-func TestReopenUnterminatedValidTail(t *testing.T) {
+// TestReopenTornInvalidTail cuts the store at every offset that leaves a
+// torn, unparseable tail (or none): the tail is dropped, every complete
+// line kept, and the next Put appends a clean line.
+func TestReopenTornInvalidTail(t *testing.T) {
+	full, newlines := tornFixture(t)
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	// Complete JSON whose trailing newline never made it to disk: the
-	// entry is good and must be kept, and reopen terminates it in place.
-	line := entryLine(t, "fp", "titan-xp", 1, 500)
-	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
-		t.Fatal(err)
+	for off, kept := 0, 0; off <= len(full); off++ {
+		if kept < len(newlines) && off == newlines[kept] {
+			continue // valid JSON missing only its newline: the next test
+		}
+		if off > 0 && full[off-1] == '\n' {
+			kept++
+		}
+		reopenAfterCut(t, path, full, off, kept)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean := full[:strings.LastIndex(full[:off], "\n")+1]
+		rest, ok := strings.CutPrefix(string(data), clean)
+		if !ok || strings.Count(rest, "\n") != 1 || !strings.HasSuffix(rest, "\n") {
+			t.Fatalf("offset %d: file not repaired cleanly:\n%s", off, data)
+		}
 	}
-	s := openStore(t, path)
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d want 1", s.Len())
-	}
-	if _, err := s.Put(testEntry(t, "fp2", "rtx-3090", 2, 600)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re := openStore(t, path)
-	if re.Len() != 2 {
-		t.Fatalf("reopened Len = %d want 2 — tail termination corrupted the log", re.Len())
+}
+
+// TestReopenUnterminatedValidTail cuts the store just before each line's
+// newline — complete JSON whose newline never reached disk. The entry is
+// good and must be kept, and reopen terminates it in place.
+func TestReopenUnterminatedValidTail(t *testing.T) {
+	full, newlines := tornFixture(t)
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	for i, off := range newlines {
+		reopenAfterCut(t, path, full, off, i+1)
 	}
 }
 

@@ -1,13 +1,12 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
+	"github.com/neuralcompile/glimpse/internal/telemetry"
 	"github.com/neuralcompile/glimpse/internal/tlog"
 )
 
@@ -22,8 +21,8 @@ type checkpointLine struct {
 // killed tuning campaign resumes per task instead of re-measuring work it
 // already paid GPU-hours for. One checkpoint file serves a whole fleet run:
 // entries are keyed by (model, gpu, task). It is safe for concurrent use by
-// the per-task and per-GPU goroutines of a fleet session, and tolerates a
-// truncated final line from a previous kill (see tlog.ReadJSONLines).
+// the per-task and per-GPU goroutines of a fleet session, and survives a
+// kill at any byte (see tlog.OpenAppend). Every append is fsync'd.
 type Checkpoint struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -36,22 +35,11 @@ func checkpointKey(model, gpu, taskName string) string {
 
 // OpenCheckpoint opens (creating if absent) a checkpoint file and loads
 // the tasks it already records. Failed task plans are never checkpointed,
-// so everything loaded is reusable. A file whose writer was killed
-// mid-append is repaired: an unterminated final line is kept if it parses
-// as JSON (the kill landed between the bytes and the newline) and
-// truncated away otherwise, so the next append starts on a clean line.
+// so everything loaded is reusable. A tail torn by a killed writer is
+// repaired by tlog.OpenAppend, so the next append starts on a clean line.
 func OpenCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		_ = f.Close() // already on the error path; the read error wins
-		return nil, err
-	}
-	c := &Checkpoint{f: f, done: map[string]TaskPlan{}}
-	err = tlog.ReadJSONLines(bytes.NewReader(data), func(line []byte) error {
+	c := &Checkpoint{done: map[string]TaskPlan{}}
+	f, err := tlog.OpenAppend(path, func(line []byte) error {
 		var cl checkpointLine
 		if err := json.Unmarshal(line, &cl); err != nil {
 			return err
@@ -63,37 +51,10 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 		return nil
 	})
 	if err != nil {
-		_ = f.Close() // already on the error path; the read error wins
 		return nil, fmt.Errorf("fleet: checkpoint %s: %w", path, err)
 	}
-	if err := repairTail(f, data); err != nil {
-		_ = f.Close() // already on the error path; the read error wins
-		return nil, fmt.Errorf("fleet: checkpoint %s: %w", path, err)
-	}
+	c.f = f
 	return c, nil
-}
-
-// repairTail leaves f positioned at the end of the last complete line,
-// terminating or discarding a partial trailing write.
-func repairTail(f *os.File, data []byte) error {
-	if len(data) == 0 || data[len(data)-1] == '\n' {
-		_, err := f.Seek(int64(len(data)), io.SeekStart)
-		return err
-	}
-	cut := bytes.LastIndexByte(data, '\n') + 1
-	if tail := bytes.TrimSpace(data[cut:]); json.Valid(tail) {
-		// Complete JSON missing only its newline: terminate it in place.
-		if _, err := f.Seek(int64(len(data)), io.SeekStart); err != nil {
-			return err
-		}
-		_, err := f.Write([]byte("\n"))
-		return err
-	}
-	if err := f.Truncate(int64(cut)); err != nil {
-		return err
-	}
-	_, err := f.Seek(int64(cut), io.SeekStart)
-	return err
 }
 
 // Lookup returns the checkpointed plan for a task, if any.
@@ -112,7 +73,7 @@ func (c *Checkpoint) Append(model, gpu string, tp TaskPlan) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := tlog.AppendJSONLine(c.f, checkpointLine{Model: model, GPU: gpu, Task: tp}); err != nil {
+	if err := telemetry.AppendJSONLine(c.f, checkpointLine{Model: model, GPU: gpu, Task: tp}); err != nil {
 		return err
 	}
 	if err := c.f.Sync(); err != nil {

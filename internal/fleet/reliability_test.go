@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -267,52 +269,79 @@ func TestFleetResumeRemeasuresOnlyFailedTasks(t *testing.T) {
 	}
 }
 
+// TestCheckpointSurvivesTruncatedTail cuts a checkpoint at every byte
+// offset, as a kill mid-append would: the reopen keeps every plan whose
+// line reached disk (with or without its newline), and a plan appended
+// after the repair survives the next reopen.
 func TestCheckpointSurvivesTruncatedTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt.jsonl")
 	ck, err := OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := TaskPlan{TaskName: "alexnet/conv-1", TaskIndex: 1, ConfigIndex: 7, GFLOPS: 100, TimeMS: 1}
-	if err := ck.Append(workload.AlexNet, hwspec.TitanXp, good); err != nil {
-		t.Fatal(err)
+	plans := []TaskPlan{
+		{TaskName: "alexnet/conv-1", TaskIndex: 1, ConfigIndex: 7, GFLOPS: 100, TimeMS: 1},
+		{TaskName: "alexnet/conv-2", TaskIndex: 2, ConfigIndex: 3, GFLOPS: 50, TimeMS: 2},
+		{TaskName: "alexnet/conv-3", TaskIndex: 3, ConfigIndex: 9, GFLOPS: 75, TimeMS: 3},
+	}
+	for _, tp := range plans {
+		if err := ck.Append(workload.AlexNet, hwspec.TitanXp, tp); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := ck.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a kill mid-append: garbage without a trailing newline.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"model":"alexnet","gpu":"titan-`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	next := TaskPlan{TaskName: "alexnet/conv-4", TaskIndex: 4, ConfigIndex: 1, GFLOPS: 20, TimeMS: 4}
 
-	ck2, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatalf("truncated checkpoint rejected: %v", err)
-	}
-	if ck2.Len() != 1 {
-		t.Fatalf("loaded %d entries, want 1", ck2.Len())
-	}
-	if _, ok := ck2.Lookup(workload.AlexNet, hwspec.TitanXp, "alexnet/conv-1"); !ok {
-		t.Fatal("intact entry lost")
-	}
-	// Appending after repair keeps the file parseable.
-	second := TaskPlan{TaskName: "alexnet/conv-2", TaskIndex: 2, ConfigIndex: 3, GFLOPS: 50, TimeMS: 2}
-	if err := ck2.Append(workload.AlexNet, hwspec.TitanXp, second); err != nil {
-		t.Fatal(err)
-	}
-	ck2.Close()
-	ck3, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck3.Close()
-	if ck3.Len() != 2 {
-		t.Fatalf("after repair+append: %d entries, want 2", ck3.Len())
+	for off := 0; off <= len(full); off++ {
+		// Plan i survives once every byte of its line but the newline is on disk.
+		kept := 0
+		for end := 0; kept < len(plans); kept++ {
+			end += bytes.IndexByte(full[end:], '\n')
+			if end > off {
+				break
+			}
+			end++
+		}
+		cut := filepath.Join(dir, fmt.Sprintf("cut-%d.jsonl", off))
+		if err := os.WriteFile(cut, full[:off], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck2, err := OpenCheckpoint(cut)
+		if err != nil {
+			t.Fatalf("offset %d: truncated checkpoint rejected: %v", off, err)
+		}
+		if ck2.Len() != kept {
+			t.Fatalf("offset %d: loaded %d entries, want %d", off, ck2.Len(), kept)
+		}
+		if err := ck2.Append(workload.AlexNet, hwspec.TitanXp, next); err != nil {
+			t.Fatal(err)
+		}
+		if err := ck2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ck3, err := OpenCheckpoint(cut)
+		if err != nil {
+			t.Fatalf("offset %d: reopen after repair+append: %v", off, err)
+		}
+		for _, tp := range append(plans[:kept:kept], next) {
+			got, ok := ck3.Lookup(workload.AlexNet, hwspec.TitanXp, tp.TaskName)
+			if !ok || !reflect.DeepEqual(got, tp) {
+				t.Fatalf("offset %d: %s reloaded as %+v (found=%v), want %+v", off, tp.TaskName, got, ok, tp)
+			}
+		}
+		if ck3.Len() != kept+1 {
+			t.Fatalf("offset %d: after repair+append: %d entries, want %d", off, ck3.Len(), kept+1)
+		}
+		if err := ck3.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -295,26 +296,35 @@ type logPrior struct {
 // existing entries replay through a tlog.Replayer (reconstructing the
 // interrupted session's state without new GPU spend), and everything
 // past them records through a tlog.RecordingMeasurer continuing the
-// log's sequence numbers.
+// log's sequence numbers. tlog.OpenAppend repairs a tail torn by a kill;
+// appends are not fsync'd, because a kill keeps the page cache and a
+// lost suffix only means replaying less.
 func (s *Server) openSessionLog(base measure.Measurer, jobID string) (*sessionMeasurer, logPrior, error) {
 	path := s.store.measPath(jobID)
 	var entries []tlog.Entry
-	if data, err := os.ReadFile(path); err == nil {
-		entries, err = tlog.Read(bytes.NewReader(data))
-		if err != nil {
-			// Unreadable checkpoint: discard and start over.
-			s.logf("glimpsed: job %s: unreadable measurement log, restarting: %v\n", jobID, err)
-			entries = nil
-			if err := os.Remove(path); err != nil {
-				return nil, logPrior{}, err
-			}
+	collect := func(line []byte) error {
+		var e tlog.Entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
 		}
-	} else if !os.IsNotExist(err) {
-		return nil, logPrior{}, err
+		entries = append(entries, e)
+		return nil
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := tlog.OpenAppend(path, collect)
+	var ioErr *fs.PathError
+	if errors.As(err, &ioErr) {
+		return nil, logPrior{}, err // an I/O failure, not a corrupt log
+	}
 	if err != nil {
-		return nil, logPrior{}, err
+		// Unreadable checkpoint: discard and start over.
+		s.logf("glimpsed: job %s: unreadable measurement log, restarting: %v\n", jobID, err)
+		entries = nil
+		if err := os.Remove(path); err != nil {
+			return nil, logPrior{}, err
+		}
+		if f, err = tlog.OpenAppend(path, collect); err != nil {
+			return nil, logPrior{}, err
+		}
 	}
 	lastSeq := 0
 	if len(entries) > 0 {

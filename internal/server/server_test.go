@@ -7,8 +7,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +22,7 @@ import (
 	"github.com/neuralcompile/glimpse/internal/prior"
 	"github.com/neuralcompile/glimpse/internal/rng"
 	"github.com/neuralcompile/glimpse/internal/space"
+	"github.com/neuralcompile/glimpse/internal/tlog"
 	"github.com/neuralcompile/glimpse/internal/tuner"
 	"github.com/neuralcompile/glimpse/internal/workload"
 )
@@ -329,9 +333,49 @@ func TestServeEventStreamDeterministic(t *testing.T) {
 	}
 }
 
+// hookMeasurer calls before with each batch's config count, then
+// measures.
+type hookMeasurer struct {
+	inner  measure.Measurer
+	before func(configs int)
+}
+
+func (h hookMeasurer) MeasureBatch(task workload.Task, sp *space.Space, idxs []int64) ([]gpusim.Result, error) {
+	h.before(len(idxs))
+	return h.inner.MeasureBatch(task, sp, idxs)
+}
+func (h hookMeasurer) DeviceName() string { return h.inner.DeviceName() }
+
+func withHook(before func(configs int)) func(*Config) {
+	return func(c *Config) {
+		c.NewMeasurer = func(gpu string) (measure.Measurer, func() error, error) {
+			m, err := measure.NewLocal(gpu)
+			return hookMeasurer{inner: m, before: before}, func() error { return nil }, err
+		}
+	}
+}
+
+// assertDrainedQueued checks that a drained server journaled the job back
+// to queued — not lost, not failed, not finished.
+func assertDrainedQueued(t *testing.T, dir string) {
+	t.Helper()
+	st, recovered, err := openStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 1 || recovered[0].State != StateQueued {
+		t.Fatalf("drained journal: %+v", recovered)
+	}
+}
+
 // TestServeDrainResume is the zero-lost-jobs contract: drain a server
 // mid-session, restart on the same state directory, and the job resumes
-// from its measurement-log checkpoint to a byte-identical result.
+// from its measurement-log checkpoint to a byte-identical result — even
+// after a kill tore the log's last append and the torn log was appended
+// to again.
 func TestServeDrainResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs tuning sessions")
@@ -339,12 +383,7 @@ func TestServeDrainResume(t *testing.T) {
 	dir := t.TempDir()
 	spec := JobSpec{Model: workload.ResNet18, TaskIndex: 7, GPU: hwspec.TitanXp,
 		Seed: 29, MaxMeasurements: 96}
-	s1, base1 := newTestServer(t, dir, func(c *Config) {
-		c.NewMeasurer = func(gpu string) (measure.Measurer, func() error, error) {
-			m, err := measure.NewLocal(gpu)
-			return slowMeasurer{inner: m, delay: 30 * time.Millisecond}, func() error { return nil }, err
-		}
-	})
+	s1, base1 := newTestServer(t, dir, withHook(func(int) { time.Sleep(30 * time.Millisecond) }))
 	id := submitJob(t, base1, spec)
 
 	// Wait until the session has checkpointed at least two batches, then
@@ -366,30 +405,64 @@ func TestServeDrainResume(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	drainNow(t, s1)
+	assertDrainedQueued(t, dir)
 
-	// The drained server journaled the job back to queued — not lost, not
-	// failed — with its measurement log on disk.
-	st, recovered, err := openStore(dir)
+	// A kill mid-append leaves a partial entry. The drain left the log
+	// batch-aligned, so the fragment sits at a batch boundary.
+	measPath := (&store{dir: dir}).measPath(id)
+	data, err := os.ReadFile(measPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.close(); err != nil {
+	logged, err := tlog.Read(bytes.NewReader(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recovered) != 1 || recovered[0].State != StateQueued {
-		t.Fatalf("drained journal: %+v", recovered)
+	torn := append(data, `{"seq":`+strconv.Itoa(len(logged)+1)+`,"device":"titan-xp","mod`...)
+	if err := os.WriteFile(measPath, torn, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	// A fresh server on the same state dir resumes and finishes the job.
-	s2, base2 := newTestServer(t, dir, nil)
-	defer drainNow(t, s2)
-	v := waitTerminal(t, base2, id, 120*time.Second)
+	// A second server replays the logged prefix and appends one new batch
+	// past the fragment. Its first new batch waits until the workers are
+	// canceled, so the session stops right after that step.
+	arrived, gate := make(chan struct{}, 1), make(chan struct{})
+	s2, _ := newTestServer(t, dir, withHook(func(int) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		<-gate
+	}))
+	select {
+	case <-arrived:
+	case <-time.After(60 * time.Second):
+		t.Fatal("resumed session never measured past its log")
+	}
+	s2.mu.Lock()
+	cancel := s2.cancelWorkers
+	s2.mu.Unlock()
+	cancel()
+	close(gate)
+	drainNow(t, s2)
+	assertDrainedQueued(t, dir)
+
+	// A third server finishes the job. It must replay the logged prefix
+	// rather than rerun cold, and still match the uninterrupted run.
+	var measured atomic.Int64
+	s3, base3 := newTestServer(t, dir, withHook(func(n int) { measured.Add(int64(n)) }))
+	defer drainNow(t, s3)
+	v := waitTerminal(t, base3, id, 120*time.Second)
 	if v.State != StateDone {
 		t.Fatalf("resumed job ended %s (%s)", v.State, v.Detail)
 	}
 	want := oneShotResult(t, spec)
 	if a, b := resultBytes(t, want), resultBytes(t, v.Result); !bytes.Equal(a, b) {
 		t.Fatalf("resumed result diverged from uninterrupted run:\n want %s\n got  %s", a, b)
+	}
+	if n := measured.Load(); n >= int64(v.Result.Measurements) {
+		t.Fatalf("final server measured %d of %d configs: the logged prefix was not replayed",
+			n, v.Result.Measurements)
 	}
 }
 

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"github.com/neuralcompile/glimpse/internal/telemetry"
 	"github.com/neuralcompile/glimpse/internal/tlog"
 	"github.com/neuralcompile/glimpse/internal/tuner"
 )
@@ -54,52 +54,43 @@ func openStore(dir string) (*store, []*Job, error) {
 
 	byID := map[string]*Job{}
 	var order []*Job
-	if data, err := os.ReadFile(path); err == nil {
-		rerr := tlog.ReadJSONLines(bytes.NewReader(data), func(line []byte) error {
-			var rec jobRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return err
-			}
-			switch rec.Kind {
-			case "submit":
-				if rec.Spec == nil {
-					return fmt.Errorf("submit record %s without spec", rec.ID)
-				}
-				j := &Job{ID: rec.ID, Spec: *rec.Spec, State: StateQueued}
-				byID[rec.ID] = j
-				order = append(order, j)
-				var n int
-				if _, err := fmt.Sscanf(rec.ID, "j%d", &n); err == nil {
-					j.seq = n
-					if n > st.lastID {
-						st.lastID = n
-					}
-				}
-			case "state":
-				j, ok := byID[rec.ID]
-				if !ok {
-					return fmt.Errorf("state record for unknown job %s", rec.ID)
-				}
-				j.State = rec.State
-				j.Detail = rec.Detail
-				j.Cached = rec.Cached
-				j.Warm = rec.Warm
-				j.Result = rec.Result
-			default:
-				return fmt.Errorf("unknown journal record kind %q", rec.Kind)
-			}
-			return nil
-		})
-		if rerr != nil {
-			return nil, nil, fmt.Errorf("server: job journal %s: %w", path, rerr)
+	f, err := tlog.OpenAppend(path, func(line []byte) error {
+		var rec jobRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, err
-	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		switch rec.Kind {
+		case "submit":
+			if rec.Spec == nil {
+				return fmt.Errorf("submit record %s without spec", rec.ID)
+			}
+			j := &Job{ID: rec.ID, Spec: *rec.Spec, State: StateQueued}
+			byID[rec.ID] = j
+			order = append(order, j)
+			var n int
+			if _, err := fmt.Sscanf(rec.ID, "j%d", &n); err == nil {
+				j.seq = n
+				if n > st.lastID {
+					st.lastID = n
+				}
+			}
+		case "state":
+			j, ok := byID[rec.ID]
+			if !ok {
+				return fmt.Errorf("state record for unknown job %s", rec.ID)
+			}
+			j.State = rec.State
+			j.Detail = rec.Detail
+			j.Cached = rec.Cached
+			j.Warm = rec.Warm
+			j.Result = rec.Result
+		default:
+			return fmt.Errorf("unknown journal record kind %q", rec.Kind)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("server: job journal %s: %w", path, err)
 	}
 	st.f = f
 	for _, j := range order {
@@ -129,7 +120,7 @@ func (st *store) nextID() string {
 func (st *store) append(rec jobRecord) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := tlog.AppendJSONLine(st.f, rec); err != nil {
+	if err := telemetry.AppendJSONLine(st.f, rec); err != nil {
 		return err
 	}
 	// fsync each record: the journal is the zero-lost-jobs contract, and

@@ -6,10 +6,11 @@ import (
 )
 
 // AppendJSONLine marshals v and writes it as one newline-terminated JSON
-// line. It is the append primitive shared by tuning logs, fleet
-// checkpoints (both via tlog.AppendJSONLine, which delegates here), and
-// trace files — one format, one implementation, so every JSONL artifact
-// in the system tolerates the same torn-tail recovery on resume.
+// line: the append primitive of every JSONL artifact — trace files,
+// tuning and measurement logs, the fleet checkpoint, the tuned-config
+// store, and the glimpsed job journal. The durable logs among them open
+// through tlog.OpenAppend, which repairs a tail torn by a kill before
+// the next append.
 func AppendJSONLine(w io.Writer, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {

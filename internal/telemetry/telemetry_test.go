@@ -16,6 +16,16 @@ func fakeClockAt(sec int64) *FakeClock {
 	return NewFakeClock(time.Unix(sec, 0).UTC())
 }
 
+func TestAppendJSONLineSurfacesMarshalError(t *testing.T) {
+	var buf bytes.Buffer
+	if err := AppendJSONLine(&buf, make(chan int)); err == nil {
+		t.Fatal("AppendJSONLine marshaled an unmarshalable value")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("failed marshal still wrote %d bytes", buf.Len())
+	}
+}
+
 func TestTracerSpanOutputDeterministic(t *testing.T) {
 	clk := fakeClockAt(1000)
 	var buf bytes.Buffer

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -31,16 +33,6 @@ func TestAppendSurfacesWriterError(t *testing.T) {
 	w := NewWriter(&errWriter{}, 0)
 	if err := w.Append(Entry{TaskName: "t"}); err == nil {
 		t.Fatal("Append on a failing writer returned nil error")
-	}
-}
-
-func TestAppendJSONLineSurfacesMarshalError(t *testing.T) {
-	var buf bytes.Buffer
-	if err := AppendJSONLine(&buf, make(chan int)); err == nil {
-		t.Fatal("AppendJSONLine marshaled an unmarshalable value")
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("failed marshal still wrote %d bytes", buf.Len())
 	}
 }
 
@@ -121,6 +113,69 @@ func TestReadJSONLinesPropagatesCallbackError(t *testing.T) {
 	if err == nil || !errors.Is(err, sentinel) {
 		t.Fatalf("callback error not propagated: %v", err)
 	}
+}
+
+// TestOpenAppendSurvivesKillAtEveryOffset truncates a log at every byte
+// offset — everywhere a kill can stop a write — and checks that
+// OpenAppend replays exactly the records whose bytes all reached disk
+// (the newline may be missing), leaves the file clean, and that a record
+// appended after the repair is read back by the next open.
+func TestOpenAppendSurvivesKillAtEveryOffset(t *testing.T) {
+	records := []string{`{"seq":1}`, `{"seq":2,"device":"titan-xp"}`, `{"seq":3,"model":"alexnet"}`}
+	full := strings.Join(records, "\n") + "\n"
+	const next = `{"seq":4}`
+	dir := t.TempDir()
+	for off := 0; off <= len(full); off++ {
+		path := filepath.Join(dir, fmt.Sprintf("log-%d.jsonl", off))
+		if err := os.WriteFile(path, []byte(full[:off]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for i, end := 0, 0; i < len(records) && end+len(records[i]) <= off; i++ {
+			want = append(want, records[i])
+			end += len(records[i]) + 1
+		}
+
+		got, f := openAppendLines(t, path)
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Fatalf("offset %d: replayed %q, want %q", off, got, want)
+		}
+		if _, err := f.WriteString(next + "\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		want = append(want, next)
+		got, f = openAppendLines(t, path)
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Fatalf("offset %d: after repair and append, replayed %q, want %q", off, got, want)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != strings.Join(want, "\n")+"\n" {
+			t.Fatalf("offset %d: repaired file is %q", off, data)
+		}
+	}
+}
+
+func openAppendLines(t *testing.T, path string) ([]string, *os.File) {
+	t.Helper()
+	var lines []string
+	f, err := OpenAppend(path, func(line []byte) error {
+		lines = append(lines, string(line))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("OpenAppend: %v", err)
+	}
+	return lines, f
 }
 
 // failingMeasurer returns an error from MeasureBatch.

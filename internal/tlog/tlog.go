@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 
 	"github.com/neuralcompile/glimpse/internal/gpusim"
@@ -65,15 +66,7 @@ func (w *Writer) Append(e Entry) error {
 	defer w.mu.Unlock()
 	w.seq++
 	e.Seq = w.seq
-	return AppendJSONLine(w.w, e)
-}
-
-// AppendJSONLine marshals v and writes it as one newline-terminated JSON
-// line — the append format shared by tuning logs, fleet checkpoints, and
-// telemetry traces. The implementation lives in internal/telemetry (the
-// dependency leaf); this delegate keeps the historical entry point.
-func AppendJSONLine(w io.Writer, v any) error {
-	return telemetry.AppendJSONLine(w, v)
+	return telemetry.AppendJSONLine(w.w, e)
 }
 
 // ReadJSONLines streams newline-delimited JSON from r, calling fn with
@@ -104,6 +97,44 @@ func ReadJSONLines(r io.Reader, fn func(line []byte) error) error {
 			return nil
 		}
 	}
+}
+
+// OpenAppend is the one open path of every durable JSONL log: it opens
+// path for appending (creating it if absent), passes each complete line
+// to fn (see ReadJSONLines), and repairs a tail torn by a kill so the
+// next append starts on a clean line. An unterminated final line that
+// parses as JSON lost only its newline and is terminated in place; one
+// that does not parse is truncated away. The caller owns the returned
+// file, including any Sync after its appends.
+func OpenAppend(path string, fn func(line []byte) error) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := replayAndRepair(f, fn); err != nil {
+		_ = f.Close() // already on the error path; the replay error wins
+		return nil, err
+	}
+	return f, nil
+}
+
+func replayAndRepair(f *os.File, fn func(line []byte) error) error {
+	data, err := io.ReadAll(f)
+	if err != nil || len(data) == 0 {
+		return err
+	}
+	if err := ReadJSONLines(bytes.NewReader(data), fn); err != nil {
+		return err
+	}
+	if data[len(data)-1] == '\n' {
+		return nil
+	}
+	cut := bytes.LastIndexByte(data, '\n') + 1
+	if json.Valid(data[cut:]) {
+		_, err = f.Write([]byte{'\n'})
+		return err
+	}
+	return f.Truncate(int64(cut))
 }
 
 // Read parses a JSONL log (tolerating a truncated final line, see
