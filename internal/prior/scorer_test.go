@@ -57,3 +57,24 @@ func BenchmarkScorerLogProb(b *testing.B) {
 		scorer.LogProbIndex(idxs[i%len(idxs)])
 	}
 }
+
+// TestLogProbIndexMatchesReference pins LogProbIndex bit for bit to the
+// FromIndex-based reference, LogProb(FromIndex(idx)).
+func TestLogProbIndexMatchesReference(t *testing.T) {
+	for _, l := range []int{1, 7, 13, 17} {
+		task, err := workload.TaskByIndex(workload.ResNet18, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, sp := handDist(t, task)
+		scorer := d.Scorer(sp)
+		g := rng.New(int64(100 + l))
+		for i := 0; i < 2000; i++ {
+			idx := sp.RandomIndex(g)
+			got, want := scorer.LogProbIndex(idx), scorer.LogProb(sp.FromIndex(idx))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: LogProbIndex(%d) = %v want %v", task.Name(), idx, got, want)
+			}
+		}
+	}
+}
