@@ -390,8 +390,12 @@ func assembleLatency(tasks []workload.Task, plans []TaskPlan) float64 {
 		}
 		byIndex[tp.TaskIndex] = tp
 	}
+	// Per-shape minima are summed in first-seen task order, not map
+	// order: float addition is not associative, and Plan.LatencyMS must
+	// be bit-identical between identical runs.
 	bestConv := map[workload.ConvShape]float64{}
 	repeats := map[workload.ConvShape]int{}
+	var shapes []workload.ConvShape
 	total := 0.0
 	for _, task := range tasks {
 		tp, ok := byIndex[task.Index]
@@ -402,13 +406,17 @@ func assembleLatency(tasks []workload.Task, plans []TaskPlan) float64 {
 			total += tp.TimeMS * float64(task.Repeats)
 			continue
 		}
-		if old, seen := bestConv[task.Conv]; !seen || tp.TimeMS < old {
+		old, seen := bestConv[task.Conv]
+		if !seen {
+			shapes = append(shapes, task.Conv)
+		}
+		if !seen || tp.TimeMS < old {
 			bestConv[task.Conv] = tp.TimeMS
 		}
 		repeats[task.Conv] = task.Repeats
 	}
-	for shape, ms := range bestConv {
-		total += ms * float64(repeats[shape])
+	for _, shape := range shapes {
+		total += bestConv[shape] * float64(repeats[shape])
 	}
 	return total
 }

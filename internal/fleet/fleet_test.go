@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -181,5 +182,29 @@ func TestPlanSaveLoad(t *testing.T) {
 	}
 	if _, err := LoadPlan(filepath.Join(t.TempDir(), "none.json")); err == nil {
 		t.Fatal("missing plan accepted")
+	}
+}
+
+// TestAssembleLatencyTaskOrder pins the latency sum to first-seen task
+// order. The shape times make float addition order visible: in task order
+// (1e16 + 1) − 1e16 rounds to 0, while any other order gives 1, so a
+// map-order sum differs between calls.
+func TestAssembleLatencyTaskOrder(t *testing.T) {
+	times := []float64{1e16, 1, -1e16}
+	var tasks []workload.Task
+	var plans []TaskPlan
+	for i, ms := range times {
+		tasks = append(tasks, workload.Task{Index: i + 1, Kind: workload.Conv2D,
+			Conv: workload.ConvShape{Batch: 1, InC: i + 1, OutC: 8, H: 8, W: 8, Kernel: 3, Stride: 1}, Repeats: 1})
+		plans = append(plans, TaskPlan{TaskIndex: i + 1, TimeMS: ms})
+	}
+	want := 0.0
+	for _, ms := range times {
+		want += ms
+	}
+	for i := 0; i < 50; i++ {
+		if got := assembleLatency(tasks, plans); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: assembleLatency = %v want the task-order sum %v", i, got, want)
+		}
 	}
 }
