@@ -136,6 +136,18 @@ bench-train:
 	$(TRAIN_BENCH) | $(GO) run ./cmd/benchjson > BENCH_train.json
 	@echo wrote BENCH_train.json
 
+# Surrogate-layer benchmarks as a machine-readable artifact: the
+# annealer's batch energy replaying one recorded tuning step (0
+# allocs/op), the GP posterior at 144 rows (the pre-lane reference, one
+# lane and four lanes, with ns/query to compare them), and the GP
+# hyperparameter grid fit. -cpu 2 pins the names as for bench-train.
+LAYERS_BENCH = $(GO) test -bench 'BenchmarkAnnealEnergy|BenchmarkGPPredict|BenchmarkGPFitGrid' -benchmem -cpu 2 -run '^$$' \
+	./internal/core/... ./internal/gp/...
+.PHONY: bench-layers
+bench-layers:
+	$(LAYERS_BENCH) | $(GO) run ./cmd/benchjson > BENCH_layers.json
+	@echo wrote BENCH_layers.json
+
 # Regression gates against the committed baselines with cmd/benchdiff.
 # bench-diff-obs reruns the observability benchmarks (>20% ns/op or
 # allocs/op growth fails); CI reports it as a soft gate — an annotation
@@ -144,8 +156,9 @@ bench-train:
 # allocs/op is deterministic and fails the build, while -floor-ns 1e15
 # puts every ns/op below the time floor, which keeps ns/op soft — its
 # change still shows in the delta column but never fails the diff.
-.PHONY: bench-diff bench-diff-obs bench-diff-train
-bench-diff: bench-diff-obs bench-diff-train
+# bench-diff-layers gates the surrogate-layer benchmarks the same way.
+.PHONY: bench-diff bench-diff-obs bench-diff-train bench-diff-layers
+bench-diff: bench-diff-obs bench-diff-train bench-diff-layers
 
 bench-diff-obs:
 	$(GO) test -bench 'BenchmarkTracer|BenchmarkCounterInc|BenchmarkHistogramObserve|BenchmarkReliableOverhead' \
@@ -156,6 +169,10 @@ bench-diff-obs:
 bench-diff-train:
 	$(TRAIN_BENCH) | $(GO) run ./cmd/benchjson \
 		| $(GO) run ./cmd/benchdiff -floor-ns 1e15 -baseline BENCH_train.json
+
+bench-diff-layers:
+	$(LAYERS_BENCH) | $(GO) run ./cmd/benchjson \
+		| $(GO) run ./cmd/benchdiff -floor-ns 1e15 -baseline BENCH_layers.json
 
 .PHONY: fmt
 fmt:

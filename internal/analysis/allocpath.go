@@ -6,14 +6,16 @@ import (
 )
 
 // AllocPath polices the per-candidate scoring paths and the nn training
-// step in the hot packages (Scope.Hot: gbt, nn, acq, anneal, sampler).
+// step in the hot packages (Scope.Hot: gbt, nn, acq, anneal, sampler, gp,
+// mat, space, prior).
 // The tuner evaluates tens of thousands of candidates per run, and toolkit
 // training runs tens of thousands of steps, so an allocation in either
 // loop is multiplied by the full stream and shows up directly in wall
 // time. The analyzer computes the set of functions reachable (via
 // package-local static calls) from the hot entry points — exported
 // functions and methods matching Scope.HotRoots (Predict*, Score*,
-// Infer*, Select*, Run*, Sample*, Forward*, Backward*, Fit*) — and
+// Infer*, Select*, Run*, Sample*, Forward*, Backward*, Fit*, Features*,
+// Neighbor*, LogProb*, Cholesky*, Solve*) — and
 // inside those flags the allocation constructs that repeatedly escape
 // review:
 //

@@ -39,9 +39,10 @@ var Scope = struct {
 	// Lock without a same-function Unlock, no blocking operation while a
 	// lock is held (lockcheck).
 	Lock []string
-	// Hot packages are the surrogate scoring inner loop and the nn
-	// training step; allocation-causing constructs on paths reachable
-	// from the hot roots are flagged there (allocpath).
+	// Hot packages are the surrogate scoring inner loop — the annealer's
+	// energy down to the GP posterior, feature decoding and prior scorer
+	// — and the nn training step; allocation-causing constructs on paths
+	// reachable from the hot roots are flagged there (allocpath).
 	Hot []string
 	// HotRoots names the entry points whose call graphs define the
 	// scoring and training paths inside the hot packages.
@@ -94,8 +95,12 @@ var Scope = struct {
 		"internal/acq",
 		"internal/anneal",
 		"internal/sampler",
+		"internal/gp",
+		"internal/mat",
+		"internal/space",
+		"internal/prior",
 	},
-	HotRoots: regexp.MustCompile(`^(Predict|Score|Infer|Select|Run|Sample|Forward|Backward|Fit)`),
+	HotRoots: regexp.MustCompile(`^(Predict|Score|Infer|Select|Run|Sample|Forward|Backward|Fit|Features|Neighbor|LogProb|Cholesky|Solve)`),
 }
 
 // inScope reports whether the package path falls under any suffix in the

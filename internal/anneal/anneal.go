@@ -3,8 +3,11 @@
 // measurement candidates by running parallel Markov chains on a surrogate
 // cost model; this package is that shared search engine.
 //
-// Chains are sharded across a bounded worker pool (Config.Workers). Each
-// chain draws from its own RNG stream split from the caller's seed, and
+// Chains step in lockstep groups of GroupSize, and the groups are sharded
+// across a bounded worker pool (Config.Workers). A group scores its
+// chains' proposals in one batch call, so a surrogate can evaluate them
+// together. Each chain draws from its own RNG stream split from the
+// caller's seed, in the same order as a chain stepped alone, and
 // per-chain visited maps are merged in chain order, so a fixed seed yields
 // byte-identical results for any worker count (and any GOMAXPROCS).
 package anneal
@@ -12,12 +15,20 @@ package anneal
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"strconv"
 
 	"github.com/neuralcompile/glimpse/internal/parallel"
 	"github.com/neuralcompile/glimpse/internal/rng"
 	"github.com/neuralcompile/glimpse/internal/telemetry"
 )
+
+// GroupSize is the number of chains stepped in lockstep, and so the most
+// indices one Score call receives. It is a constant, never derived from a
+// worker count, which keeps the grouping — and every result — the same on
+// any machine.
+const GroupSize = 4
 
 // Problem describes a discrete maximization problem for the annealer.
 // Score and Neighbor may be called from multiple goroutines concurrently
@@ -26,8 +37,10 @@ import (
 type Problem struct {
 	// Size is the number of points in the space.
 	Size int64
-	// Score returns the surrogate value to maximize at index i.
-	Score func(i int64) float64
+	// Score writes the surrogate value to maximize at idx[j] into out[j],
+	// for 1..GroupSize indices. Each value must depend on its index only,
+	// not on the batch it arrives in.
+	Score func(idx []int64, out []float64)
 	// Neighbor proposes a move from index i. If nil, a uniform random
 	// index is used (pure random-restart annealing).
 	Neighbor func(i int64, g *rng.RNG) int64
@@ -117,53 +130,85 @@ func Run(p Problem, cfg Config, topK int, g *rng.RNG) ([]Result, error) {
 	// trajectory stays a pure function of (salt, chain) — independent of
 	// worker count and scheduling.
 	chainBase := rng.New(g.Int63n(math.MaxInt64))
-	// Hoist the fields the chain closure reads: capturing cfg itself would
+	// Hoist the fields the group closure reads: capturing cfg itself would
 	// capture it by reference (Config is past the compiler's 128-byte
 	// by-value limit) and heap-move it on every Run.
-	initialSeed, startTemp, steps := cfg.InitialSeed, cfg.StartTemp, cfg.Steps
-	perChain := parallel.Map(cfg.Workers, cfg.Chains, func(c int) map[int64]float64 {
-		cg := chainBase.Split(fmt.Sprintf("chain/%d", c))
-		var state int64
-		if c < len(initialSeed) {
-			state = initialSeed[c] % p.Size
-			if state < 0 {
-				state += p.Size
+	initialSeed, startTemp, steps, chains := cfg.InitialSeed, cfg.StartTemp, cfg.Steps, cfg.Chains
+	groups := parallel.Map(cfg.Workers, (chains+GroupSize-1)/GroupSize, func(gi int) []map[int64]float64 {
+		lo := gi * GroupSize
+		m := min(GroupSize, chains-lo)
+		var (
+			cg     [GroupSize]*rng.RNG
+			state  [GroupSize]int64
+			energy [GroupSize]float64
+			idx    [GroupSize]int64
+			out    [GroupSize]float64
+			owner  [GroupSize]int // chain of each batch slot
+		)
+		for c := 0; c < m; c++ {
+			cg[c] = chainBase.Split("chain/" + strconv.Itoa(lo+c))
+			if lo+c < len(initialSeed) {
+				state[c] = initialSeed[lo+c] % p.Size
+				if state[c] < 0 {
+					state[c] += p.Size
+				}
+			} else {
+				state[c] = cg[c].Int63n(p.Size)
 			}
-		} else {
-			state = cg.Int63n(p.Size)
 		}
-		energy := p.Score(state)
-
-		visited := map[int64]float64{state: energy}
-		record := func(i int64, s float64) {
-			if old, ok := visited[i]; !ok || s > old {
-				visited[i] = s
-			}
+		p.Score(state[:m], energy[:m])
+		visited := make([]map[int64]float64, m)
+		for c := range visited {
+			visited[c] = make(map[int64]float64, steps+1)
+			visited[c][state[c]] = energy[c]
 		}
 
 		temp := startTemp
 		for step := 0; step < steps; step++ {
-			cand := neighbor(state, cg)
-			if cand >= 0 && cand < p.Size {
-				s := p.Score(cand)
-				record(cand, s)
-				delta := s - energy
-				if delta >= 0 || cg.Float64() < math.Exp(delta/temp) {
-					state = cand
-					energy = s
+			// Every chain proposes from its own stream, the group scores
+			// the in-range proposals in one call, then each chain draws
+			// its acceptance in chain order: per chain, the same draws in
+			// the same order as stepping it alone.
+			nb := 0
+			for c := 0; c < m; c++ {
+				if cand := neighbor(state[c], cg[c]); cand >= 0 && cand < p.Size {
+					idx[nb], owner[nb] = cand, c
+					nb++
+				}
+			}
+			if nb > 0 {
+				p.Score(idx[:nb], out[:nb])
+			}
+			for j := 0; j < nb; j++ {
+				c, cand, s := owner[j], idx[j], out[j]
+				if old, ok := visited[c][cand]; !ok || s > old {
+					visited[c][cand] = s
+				}
+				delta := s - energy[c]
+				if delta >= 0 || cg[c].Float64() < math.Exp(delta/temp) {
+					state[c] = cand
+					energy[c] = s
 				}
 			}
 			temp *= cool
+			// A step neither blocks nor, once the maps have grown,
+			// allocates, so nothing hands this P to another goroutine
+			// before Go's 10 ms preemption slice ends. Yield once per
+			// step so a server's request and progress goroutines do not
+			// wait behind the annealer; the yield touches no data.
+			runtime.Gosched()
 		}
 		return visited
 	})
 
 	// Deterministic reduction: merge per-chain maps in chain order.
 	best := make(map[int64]float64, cfg.Chains*4)
-	for _, visited := range perChain {
-		for i, s := range visited {
-			if old, ok := best[i]; !ok || s > old {
-				best[i] = s
+	for _, group := range groups {
+		for _, visited := range group {
+			for i, s := range visited {
+				if old, ok := best[i]; !ok || s > old {
+					best[i] = s
+				}
 			}
 		}
 	}

@@ -16,10 +16,10 @@ func TestRunFindsGlobalOptimumSmallSpace(t *testing.T) {
 	// Score peaks at index 777 in a space of 10k.
 	p := Problem{
 		Size: 10000,
-		Score: func(i int64) float64 {
+		Score: perIndex(func(i int64) float64 {
 			d := float64(i - 777)
 			return -d * d
-		},
+		}),
 		Neighbor: func(i int64, g *rng.RNG) int64 {
 			return i + int64(g.Intn(201)) - 100
 		},
@@ -37,7 +37,7 @@ func TestRunResultsSortedAndDistinct(t *testing.T) {
 	g := rng.New(2)
 	p := Problem{
 		Size:  1000,
-		Score: func(i int64) float64 { return math.Sin(float64(i) / 50) },
+		Score: perIndex(func(i int64) float64 { return math.Sin(float64(i) / 50) }),
 	}
 	res, err := Run(p, Config{Chains: 16, Steps: 100, StartTemp: 1, FinalTemp: 0.01}, 20, g)
 	if err != nil {
@@ -63,13 +63,13 @@ func TestRunRespectsSeeds(t *testing.T) {
 	var visited sync.Map // Score runs on multiple goroutines
 	p := Problem{
 		Size: 1 << 40, // astronomically large: random restarts won't find 12345
-		Score: func(i int64) float64 {
+		Score: perIndex(func(i int64) float64 {
 			visited.Store(i, true)
 			if i == 12345 {
 				return 100
 			}
 			return 0
-		},
+		}),
 		Neighbor: func(i int64, g *rng.RNG) int64 { return i + int64(g.Intn(3)) - 1 },
 	}
 	res, err := Run(p, Config{Chains: 4, Steps: 20, StartTemp: 1, FinalTemp: 0.1,
@@ -84,7 +84,7 @@ func TestRunRespectsSeeds(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	g := rng.New(4)
-	if _, err := Run(Problem{Size: 0, Score: func(int64) float64 { return 0 }}, DefaultConfig(), 1, g); err == nil {
+	if _, err := Run(Problem{Size: 0, Score: perIndex(func(int64) float64 { return 0 })}, DefaultConfig(), 1, g); err == nil {
 		t.Fatal("empty space accepted")
 	}
 	if _, err := Run(Problem{Size: 10}, DefaultConfig(), 1, g); err == nil {
@@ -94,7 +94,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunDefaultsApplied(t *testing.T) {
 	g := rng.New(5)
-	p := Problem{Size: 100, Score: func(i int64) float64 { return float64(i) }}
+	p := Problem{Size: 100, Score: perIndex(func(i int64) float64 { return float64(i) })}
 	res, err := Run(p, Config{}, 3, g)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestRunDefaultsApplied(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	p := Problem{
 		Size:  5000,
-		Score: func(i int64) float64 { return math.Cos(float64(i) / 100) },
+		Score: perIndex(func(i int64) float64 { return math.Cos(float64(i) / 100) }),
 	}
 	a, err := Run(p, Config{Chains: 8, Steps: 50, StartTemp: 1, FinalTemp: 0.05}, 10, rng.New(6))
 	if err != nil {
@@ -162,7 +162,7 @@ func TestPartialConfigKeepsCallerFields(t *testing.T) {
 func TestRunWorkerCountInvariant(t *testing.T) {
 	p := Problem{
 		Size:  20000,
-		Score: func(i int64) float64 { return math.Sin(float64(i)/300) + math.Cos(float64(i)/77) },
+		Score: perIndex(func(i int64) float64 { return math.Sin(float64(i)/300) + math.Cos(float64(i)/77) }),
 		Neighbor: func(i int64, g *rng.RNG) int64 {
 			return i + int64(g.Intn(401)) - 200
 		},
@@ -195,7 +195,7 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 func TestRunTracedIsByteIdentical(t *testing.T) {
 	p := Problem{
 		Size:  20000,
-		Score: func(i int64) float64 { return math.Sin(float64(i)/300) + math.Cos(float64(i)/77) },
+		Score: perIndex(func(i int64) float64 { return math.Sin(float64(i)/300) + math.Cos(float64(i)/77) }),
 		Neighbor: func(i int64, g *rng.RNG) int64 {
 			return i + int64(g.Intn(401)) - 200
 		},
@@ -232,7 +232,7 @@ func TestRunFreshStreamsPerCall(t *testing.T) {
 	g := rng.New(11)
 	p := Problem{
 		Size:  1 << 30,
-		Score: func(i int64) float64 { return float64(i % 997) },
+		Score: perIndex(func(i int64) float64 { return float64(i % 997) }),
 	}
 	cfg := Config{Chains: 4, Steps: 10, StartTemp: 1, FinalTemp: 0.1}
 	a, err := Run(p, cfg, 16, g)
@@ -259,7 +259,7 @@ func TestRunFreshStreamsPerCall(t *testing.T) {
 
 func TestNegativeSeedWrapped(t *testing.T) {
 	g := rng.New(7)
-	p := Problem{Size: 50, Score: func(i int64) float64 { return -float64(i) }}
+	p := Problem{Size: 50, Score: perIndex(func(i int64) float64 { return -float64(i) })}
 	res, err := Run(p, Config{Chains: 2, Steps: 10, StartTemp: 1, FinalTemp: 0.1,
 		InitialSeed: []int64{-3}}, 1, g)
 	if err != nil {

@@ -24,7 +24,7 @@ func benchScore(i int64) float64 {
 func BenchmarkAnneal(b *testing.B) {
 	p := Problem{
 		Size:  1 << 20,
-		Score: benchScore,
+		Score: perIndex(benchScore),
 		Neighbor: func(i int64, g *rng.RNG) int64 {
 			return i + int64(g.Intn(2001)) - 1000
 		},

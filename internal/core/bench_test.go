@@ -1,0 +1,94 @@
+package core
+
+import (
+	"sync"
+	"testing"
+
+	"github.com/neuralcompile/glimpse/internal/anneal"
+	"github.com/neuralcompile/glimpse/internal/hwspec"
+	"github.com/neuralcompile/glimpse/internal/measure"
+	"github.com/neuralcompile/glimpse/internal/rng"
+	"github.com/neuralcompile/glimpse/internal/space"
+	"github.com/neuralcompile/glimpse/internal/telemetry"
+	"github.com/neuralcompile/glimpse/internal/tuner"
+	"github.com/neuralcompile/glimpse/internal/workload"
+)
+
+// energyReplay is one recorded tuning step: the annealer energy of its
+// fitted GP and every index batch its annealer scored, in order.
+var energyReplay struct {
+	once    sync.Once
+	energy  func(idx []int64, out []float64)
+	batches [][]int64
+	err     error
+}
+
+// recordEnergyStep tunes resnet-18 L7 on the reduced toolkit for five
+// steps (80 measurements of a budget-96 run), fits the sixth step's GP,
+// and records the index stream of that step's annealer.
+func recordEnergyStep(b *testing.B) {
+	b.Helper()
+	r := &energyReplay
+	r.once.Do(func() {
+		tk, err := TrainToolkit(hwspec.RTX3090, reducedToolkitConfig(b), rng.New(1))
+		if err != nil {
+			r.err = err
+			return
+		}
+		task, err := workload.TaskByIndex(workload.ResNet18, 7)
+		if err != nil {
+			r.err = err
+			return
+		}
+		sp := space.MustForTask(task)
+		ts, err := tk.Tuner().NewTuneSession(task, sp, measure.MustNewLocal(hwspec.RTX3090),
+			tuner.Budget{MaxMeasurements: 96}, rng.New(5))
+		if err != nil {
+			r.err = err
+			return
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := ts.Step(); err != nil {
+				r.err = err
+				return
+			}
+		}
+		sur, _, err := ts.surrogate(telemetry.SpanContext{})
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.energy = ts.energy(sur, 0.2)
+		cfg := anneal.DefaultConfig()
+		cfg.Workers = 1
+		cfg.InitialSeed = topMeasured(ts.xs, ts.ys, ts.visitedOrder, 3)
+		_, r.err = anneal.Run(anneal.Problem{
+			Size: sp.Size(),
+			Score: func(idx []int64, out []float64) {
+				r.batches = append(r.batches, append([]int64(nil), idx...))
+				r.energy(idx, out)
+			},
+			Neighbor: sp.Neighbor,
+		}, cfg, ts.pool, rng.New(6))
+	})
+	if r.err != nil {
+		b.Fatal(r.err)
+	}
+}
+
+// BenchmarkAnnealEnergy replays one recorded step's annealer index stream
+// through the batch energy on one goroutine: the GP posterior, feature
+// decoding and prior scoring of a whole step, without the chain logic.
+// One op is one step's energy; it must allocate nothing.
+func BenchmarkAnnealEnergy(b *testing.B) {
+	recordEnergyStep(b)
+	r := &energyReplay
+	var out [anneal.GroupSize]float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, idx := range r.batches {
+			r.energy(idx, out[:len(idx)])
+		}
+	}
+}

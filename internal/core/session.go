@@ -61,6 +61,8 @@ type TuneSession struct {
 	warmX [][]float64
 	warmY []float64
 
+	lanes lanePool // posterior workspaces, reused across steps
+
 	totalBudget int
 	stall       int
 	lastBest    float64
@@ -116,6 +118,9 @@ func (gl *Glimpse) NewTuneSession(task workload.Task, sp *space.Space, m measure
 		hw: hw, dist: dist, scorer: scorer, ens: ens,
 		visited: map[int64]bool{},
 	}
+	// One free slot per scoring goroutine: at most that many workspaces
+	// are ever in use at once.
+	ts.lanes = lanePool{free: make(chan *posteriorLanes, parallel.Resolve(gl.Workers)), featureLen: sp.FeatureLen()}
 
 	// Warm start: donor best-configs from neighbor SKUs bypass the
 	// ensemble filter (they ran valid on real hardware nearby), and donor
@@ -227,17 +232,13 @@ func (ts *TuneSession) stepInitial(sc telemetry.SpanContext) error {
 	return ts.record(sc, first)
 }
 
-// stepIterate runs one §3.2/§3.3 loop iteration: surrogate fit, annealed
-// exploration, acquisition scoring, ensemble-filtered measurement.
-func (ts *TuneSession) stepIterate(sc telemetry.SpanContext) error {
-	gl := ts.gl
-	sp := ts.sp
-
-	// Surrogate: exact GP on normalized measurements, pre-trained with
-	// discounted donor rows when warm-started. Donor rows retire once
-	// the target's own data outnumbers them 2:1 — past that point they
-	// only blur a surrogate the real measurements specify better, and
-	// the warm session's late-run search matches a cold one's.
+// surrogate fits the step's GP: an exact GP on normalized measurements,
+// pre-trained with discounted donor rows when warm-started. Donor rows
+// retire once the target's own data outnumbers them 2:1 — past that point
+// they only blur a surrogate the real measurements specify better, and the
+// warm session's late-run search matches a cold one's. It also returns the
+// best normalized target.
+func (ts *TuneSession) surrogate(sc telemetry.SpanContext) (*gp.Regressor, float64, error) {
 	if len(ts.xs) >= 2*len(ts.warmY) {
 		ts.warmX, ts.warmY = nil, nil
 	}
@@ -247,30 +248,55 @@ func (ts *TuneSession) stepIterate(sc telemetry.SpanContext) error {
 	gpy := make([]float64, 0, len(ts.warmY)+len(ny))
 	gpy = append(append(gpy, ts.warmY...), ny...)
 	gx, gy := capGPSet(gpx, gpy, 144)
-	tsp, _ := gl.Tracer.StartSpan(sc, telemetry.StageSurrogateTrain)
+	tsp, _ := ts.gl.Tracer.StartSpan(sc, telemetry.StageSurrogateTrain)
 	tsp.SetAttr("rows", len(gx))
 	sur, err := gp.FitWithGridSearch(gx, gy, 1e-3, func(v, sc float64) gp.Kernel {
 		return gp.Matern52{Variance: v, LengthScale: sc}
 	})
 	tsp.End()
 	if err != nil {
+		return nil, 0, err
+	}
+	return sur, maxOf(gy), nil
+}
+
+// energy is the annealer's batch score: the surrogate UCB mean + κ·std
+// plus the weighted prior log-probability, evaluated gp.Lanes indices per
+// posterior call. It is safe for concurrent use.
+func (ts *TuneSession) energy(sur *gp.Regressor, kappa float64) func(idx []int64, out []float64) {
+	return func(idx []int64, out []float64) {
+		pl := ts.lanes.get()
+		for lo := 0; lo < len(idx); lo += gp.Lanes {
+			batch := idx[lo:min(lo+gp.Lanes, len(idx))]
+			mean, variance := pl.predict(sur, ts.sp, batch)
+			for l, i := range batch {
+				v := mean[l] + kappa*sqrtPos(variance[l])
+				if !ts.gl.DisablePrior {
+					v += ts.priorW * ts.scorer.LogProbIndex(i) / 10
+				}
+				out[lo+l] = v
+			}
+		}
+		ts.lanes.put(pl)
+	}
+}
+
+// stepIterate runs one §3.2/§3.3 loop iteration: surrogate fit, annealed
+// exploration, acquisition scoring, ensemble-filtered measurement.
+func (ts *TuneSession) stepIterate(sc telemetry.SpanContext) error {
+	gl := ts.gl
+	sp := ts.sp
+
+	sur, best, err := ts.surrogate(sc)
+	if err != nil {
 		return err
 	}
-	best := maxOf(gy)
 
 	// §3.2 — explorer: SA over a surrogate UCB plus the prior energy,
 	// then neural acquisition scoring of the pool. The UCB's κ ramps
 	// while progress stalls, steering the chains toward uncertain
 	// regions instead of circling a local basin.
-	kappa := 0.2 + 0.8*float64(ts.stall)
-	energy := func(i int64) float64 {
-		mean, variance := sur.Predict(sp.FeaturesAt(i))
-		v := mean + kappa*sqrtPos(variance)
-		if gl.DisablePrior {
-			return v
-		}
-		return v + ts.priorW*ts.scorer.LogProbIndex(i)/10
-	}
+	energy := ts.energy(sur, 0.2+0.8*float64(ts.stall))
 	annealCfg := anneal.DefaultConfig()
 	annealCfg.Workers = gl.Workers
 	annealCfg.Tracer = gl.Tracer // anneal.Run emits its own "anneal" span
@@ -296,20 +322,28 @@ func (ts *TuneSession) stepIterate(sc telemetry.SpanContext) error {
 		ts.done = true
 		return nil
 	}
-	// §3.2 scoring, two pooled passes: surrogate posterior per candidate
-	// (GP predict dominates), then the neural acquisition batch. Both
-	// are index-ordered maps, so output is worker-count invariant.
+	// §3.2 scoring, two pooled passes: surrogate posteriors, gp.Lanes
+	// candidates per call (GP predict dominates), then the neural
+	// acquisition batch. Both fill index-ordered slots, so output is
+	// worker-count invariant.
 	ssp, _ := gl.Tracer.StartSpan(sc, telemetry.StageSurrogateScore)
 	ssp.SetAttr("cands", len(fresh))
-	stats := parallel.Map(gl.Workers, len(fresh), func(i int) acq.Stats {
-		mean, variance := sur.Predict(sp.FeaturesAt(fresh[i]))
-		return acq.Stats{
-			Mean:         mean,
-			Std:          sqrtPos(variance),
-			Best:         best,
-			Progress:     progress,
-			PriorLogProb: ts.scorer.LogProbIndex(fresh[i]),
+	stats := make([]acq.Stats, len(fresh))
+	parallel.For(gl.Workers, (len(fresh)+gp.Lanes-1)/gp.Lanes, func(gi int) {
+		lo := gi * gp.Lanes
+		batch := fresh[lo:min(lo+gp.Lanes, len(fresh))]
+		pl := ts.lanes.get()
+		mean, variance := pl.predict(sur, sp, batch)
+		for l, i := range batch {
+			stats[lo+l] = acq.Stats{
+				Mean:         mean[l],
+				Std:          sqrtPos(variance[l]),
+				Best:         best,
+				Progress:     progress,
+				PriorLogProb: ts.scorer.LogProbIndex(i),
+			}
 		}
+		ts.lanes.put(pl)
 	})
 	ssp.End()
 	asp, _ := gl.Tracer.StartSpan(sc, telemetry.StageAcquisition)
@@ -415,4 +449,52 @@ func (ts *TuneSession) Snapshot() tuner.Result { return ts.s.Snapshot() }
 func (ts *TuneSession) Result() *tuner.Result {
 	ts.done = true
 	return ts.s.Finish()
+}
+
+// posteriorLanes is one goroutine's workspace for GP posteriors over
+// configuration indices, gp.Lanes at a time.
+type posteriorLanes struct {
+	q              [gp.Lanes][]float64
+	mean, variance [gp.Lanes]float64
+	gp             gp.Scratch
+}
+
+// lanePool recycles one session's posteriorLanes between the goroutines
+// of its scoring passes, so steady-state scoring allocates nothing. Unlike
+// a sync.Pool it holds nothing past the session's life.
+type lanePool struct {
+	free       chan *posteriorLanes
+	featureLen int
+}
+
+func (lp *lanePool) get() *posteriorLanes {
+	select {
+	case pl := <-lp.free:
+		return pl
+	default:
+	}
+	pl := &posteriorLanes{}
+	for l := range pl.q {
+		pl.q[l] = make([]float64, 0, lp.featureLen)
+	}
+	return pl
+}
+
+func (lp *lanePool) put(pl *posteriorLanes) {
+	select {
+	case lp.free <- pl:
+	default:
+	}
+}
+
+// predict returns the posterior mean and variance at each of the
+// 1..gp.Lanes indices, in pl's storage.
+func (pl *posteriorLanes) predict(sur *gp.Regressor, sp *space.Space, idx []int64) (mean, variance []float64) {
+	q := pl.q[:len(idx)]
+	for l, i := range idx {
+		q[l] = sp.FeaturesInto(i, q[l])
+	}
+	n := len(idx)
+	sur.PredictLanes(q, pl.mean[:n], pl.variance[:n], &pl.gp)
+	return pl.mean[:n], pl.variance[:n]
 }

@@ -54,10 +54,9 @@ func (k Matern52) Hyper() map[string]float64 {
 	return map[string]float64{"variance": k.Variance, "length_scale": k.LengthScale}
 }
 
-// gram builds the symmetric kernel matrix K(X, X) + noise·I.
-func gram(k Kernel, x [][]float64, noise float64) *mat.Matrix {
+// gramInto writes the symmetric kernel matrix K(X, X) + noise·I into out.
+func gramInto(out *mat.Matrix, k Kernel, x [][]float64, noise float64) {
 	n := len(x)
-	out := mat.New(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			v := k.Eval(x[i], x[j])
@@ -66,18 +65,6 @@ func gram(k Kernel, x [][]float64, noise float64) *mat.Matrix {
 		}
 		out.Set(i, i, out.At(i, i)+noise)
 	}
-	return out
-}
-
-// crossGram builds K(X*, X) between query points and training points.
-func crossGram(k Kernel, xq, x [][]float64) *mat.Matrix {
-	out := mat.New(len(xq), len(x))
-	for i, q := range xq {
-		for j, t := range x {
-			out.Set(i, j, k.Eval(q, t))
-		}
-	}
-	return out
 }
 
 func checkDims(x [][]float64, y []float64) error {

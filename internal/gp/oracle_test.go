@@ -219,3 +219,79 @@ func bitsEqual(a, b []float64) bool {
 	}
 	return true
 }
+
+// TestPredictLanesMatchesReference runs every lane count over random
+// fitted GPs and requires each lane to equal the reference posterior bit
+// for bit, with one Scratch reused across sizes and calls.
+func TestPredictLanesMatchesReference(t *testing.T) {
+	var s Scratch
+	for seed := int64(1); seed <= 12; seed++ {
+		g := rng.New(100 + seed)
+		n := 1 + g.Intn(150)
+		d := 1 + g.Intn(20)
+		x, y := oracleProblem(g, n, d)
+		r, err := FitWithGridSearch(x, y, 1e-3, matern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refFitWithGridSearch(x, y, 1e-3, matern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lanes := 1; lanes <= Lanes; lanes++ {
+			for rep := 0; rep < 5; rep++ {
+				q := make([][]float64, lanes)
+				for l := range q {
+					q[l] = make([]float64, d)
+					for j := range q[l] {
+						q[l][j] = float64(g.Intn(7)) + g.Float64()
+					}
+				}
+				var mean, variance [Lanes]float64
+				r.PredictLanes(q, mean[:], variance[:], &s)
+				for l := range q {
+					wm, wv := want.predict(q[l])
+					if math.Float64bits(mean[l]) != math.Float64bits(wm) ||
+						math.Float64bits(variance[l]) != math.Float64bits(wv) {
+						t.Fatalf("seed %d, %d lanes, lane %d: (%v, %v) want (%v, %v)",
+							seed, lanes, l, mean[l], variance[l], wm, wv)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPredictLanesUnfitted covers the prior path: mean 0, variance k(q,q).
+func TestPredictLanesUnfitted(t *testing.T) {
+	r := NewRegressor(Matern52{Variance: 3, LengthScale: 1}, 1e-6)
+	q := [][]float64{{1}, {2, 3}, {4}}
+	var mean, variance [Lanes]float64
+	r.PredictLanes(q, mean[:], variance[:], &Scratch{})
+	for l := range q {
+		if mean[l] != 0 || math.Float64bits(variance[l]) != math.Float64bits(r.Kernel.Eval(q[l], q[l])) {
+			t.Fatalf("lane %d: (%v, %v) want (0, k(q,q))", l, mean[l], variance[l])
+		}
+	}
+}
+
+// TestPredictLanesAllocatesNothing pins the hot-path contract: once the
+// scratch has grown, a posterior evaluation allocates nothing.
+func TestPredictLanesAllocatesNothing(t *testing.T) {
+	g := rng.New(3)
+	x, y := oracleProblem(g, 144, 20)
+	r, err := FitWithGridSearch(x, y, 1e-3, matern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Scratch
+	var mean, variance [Lanes]float64
+	for _, lanes := range []int{1, Lanes} {
+		q := x[:lanes]
+		if allocs := testing.AllocsPerRun(20, func() {
+			r.PredictLanes(q, mean[:], variance[:], &s)
+		}); allocs != 0 {
+			t.Fatalf("%d lanes: %v allocs per call, want 0", lanes, allocs)
+		}
+	}
+}

@@ -20,7 +20,7 @@ func BenchmarkCholesky128(b *testing.B) {
 	a := randomSPD(rng, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cholesky(a); err != nil {
+		if _, err := cholesky(a); err != nil {
 			b.Fatal(err)
 		}
 	}

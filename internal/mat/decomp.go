@@ -11,61 +11,64 @@ import (
 // (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 
-// Cholesky computes the lower-triangular L with A = L·Lᵀ for a symmetric
-// positive-definite A. Only the lower triangle of A is read.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("%w: Cholesky of %dx%d", ErrShape, a.rows, a.cols)
+// CholeskyInto computes the lower-triangular L with A = L·Lᵀ for a
+// symmetric positive-definite A, writing it into dst, a matrix of A's
+// size, so a caller factoring many matrices can reuse one buffer. Only the
+// lower triangle of A is read. On error dst holds a partial factor.
+func CholeskyInto(dst, a *Matrix) error {
+	if a.rows != a.cols || dst.rows != a.rows || dst.cols != a.cols {
+		return fmt.Errorf("%w: CholeskyInto %dx%d from %dx%d", ErrShape, dst.rows, dst.cols, a.rows, a.cols)
 	}
 	n := a.rows
-	l := New(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
+		lj := dst.data[j*n : (j+1)*n]
+		d := a.data[j*n+j]
 		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
+			d -= lj[k] * lj[k]
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w (pivot %d = %g)", ErrNotPositiveDefinite, j, d)
+			return fmt.Errorf("%w (pivot %d = %g)", ErrNotPositiveDefinite, j, d)
 		}
 		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
+		lj[j] = ljj
+		clear(lj[j+1:])
 		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
+			li := dst.data[i*n : (i+1)*n]
+			s := a.data[i*n+j]
 			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+				s -= li[k] * lj[k]
 			}
-			l.Set(i, j, s/ljj)
+			li[j] = s / ljj
 		}
 	}
-	return l, nil
+	return nil
 }
 
-// SolveCholesky solves A·x = b given the Cholesky factor L of A,
-// via forward then backward substitution.
-func SolveCholesky(l *Matrix, b []float64) []float64 {
+// SolveCholeskyInto solves A·x = b given the Cholesky factor L of A, via
+// forward then backward substitution, writing x and using y (length n) as
+// the forward-substitution workspace.
+func SolveCholeskyInto(l *Matrix, b, y, x []float64) {
 	n := l.rows
-	if len(b) != n {
-		panic(fmt.Sprintf("mat: SolveCholesky rhs length %d != %d", len(b), n))
+	if len(b) != n || len(y) != n || len(x) != n {
+		panic(fmt.Sprintf("mat: SolveCholeskyInto lengths %d, %d, %d != %d", len(b), len(y), len(x), n))
 	}
 	// Forward: L·y = b.
-	y := make([]float64, n)
 	for i := 0; i < n; i++ {
+		li := l.data[i*n : i*n+i+1]
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
+			s -= li[k] * y[k]
 		}
-		y[i] = s / l.At(i, i)
+		y[i] = s / li[i]
 	}
 	// Backward: Lᵀ·x = y.
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
+			s -= l.data[k*n+i] * x[k]
 		}
-		x[i] = s / l.At(i, i)
+		x[i] = s / l.data[i*n+i]
 	}
-	return x
 }
 
 // LogDetCholesky returns log|A| given the Cholesky factor L of A.

@@ -22,7 +22,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 5, 12} {
 		a := randomSPD(rng, n)
-		l, err := Cholesky(a)
+		l, err := cholesky(a)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -35,13 +35,13 @@ func TestCholeskyReconstruction(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
+	if _, err := cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("err = %v want ErrNotPositiveDefinite", err)
 	}
 }
 
 func TestCholeskyRejectsNonSquare(t *testing.T) {
-	if _, err := Cholesky(New(2, 3)); !errors.Is(err, ErrShape) {
+	if _, err := cholesky(New(2, 3)); !errors.Is(err, ErrShape) {
 		t.Fatalf("err = %v want ErrShape", err)
 	}
 }
@@ -54,11 +54,12 @@ func TestSolveCholesky(t *testing.T) {
 		want[i] = rng.NormFloat64()
 	}
 	b := a.MulVec(want)
-	l, err := Cholesky(a)
+	l, err := cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := SolveCholesky(l, b)
+	got := make([]float64, 8)
+	SolveCholeskyInto(l, b, make([]float64, 8), got)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-8 {
 			t.Fatalf("x[%d] = %g want %g", i, got[i], want[i])
@@ -72,7 +73,7 @@ func TestLogDetCholesky(t *testing.T) {
 	a.Set(0, 0, 2)
 	a.Set(1, 1, 3)
 	a.Set(2, 2, 4)
-	l, err := Cholesky(a)
+	l, err := cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,4 +196,10 @@ func TestSolveLinearRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// cholesky factors a into a fresh matrix.
+func cholesky(a *Matrix) (*Matrix, error) {
+	l := New(a.rows, a.rows)
+	return l, CholeskyInto(l, a)
 }

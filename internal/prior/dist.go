@@ -191,9 +191,18 @@ func (s *Scorer) LogProb(cfg space.Config) float64 {
 	return total
 }
 
-// LogProbIndex is LogProb on a flat configuration index.
+// LogProbIndex is LogProb on a flat configuration index. It decodes the
+// digits in place, summing in knob order as LogProb does, and allocates
+// nothing.
 func (s *Scorer) LogProbIndex(idx int64) float64 {
-	return s.LogProb(s.sp.FromIndex(idx))
+	s.sp.CheckIndex(idx)
+	total := 0.0
+	for k, logs := range s.logP {
+		n := int64(s.sp.Knobs[k].Size())
+		total += logs[idx%n]
+		idx /= n
+	}
+	return total
 }
 
 // TopWeighted returns the m highest-prior-probability values of knob k

@@ -78,3 +78,28 @@ func TestLogProbIndexMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestLogProbIndexAllocatesNothingAndPanicsLikeFromIndex pins the
+// annealer-facing contract: no allocation, and FromIndex's panic on an
+// out-of-range index.
+func TestLogProbIndexAllocatesNothingAndPanicsLikeFromIndex(t *testing.T) {
+	task, err := workload.TaskByIndex(workload.ResNet18, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, sp := handDist(t, task)
+	scorer := d.Scorer(sp)
+	idx := sp.RandomIndex(rng.New(1))
+	if allocs := testing.AllocsPerRun(100, func() { scorer.LogProbIndex(idx) }); allocs != 0 {
+		t.Fatalf("LogProbIndex: %v allocs per call, want 0", allocs)
+	}
+	catch := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	want := catch(func() { sp.FromIndex(sp.Size()) })
+	if got := catch(func() { scorer.LogProbIndex(sp.Size()) }); want == nil || got != want {
+		t.Fatalf("LogProbIndex panic = %v want %v", got, want)
+	}
+}

@@ -58,26 +58,48 @@ func TestNeighborMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFeaturesAtMatchesReference pins FeaturesAt to Features(FromIndex).
-func TestFeaturesAtMatchesReference(t *testing.T) {
+// TestFeaturesIntoMatchesReference pins FeaturesAt and FeaturesInto, the
+// latter reusing one buffer across spaces and calls, to
+// Features(FromIndex).
+func TestFeaturesIntoMatchesReference(t *testing.T) {
+	var buf []float64
 	for _, s := range oracleSpaces(t) {
 		g := rng.New(9)
 		for i := 0; i < 2000; i++ {
 			idx := s.RandomIndex(g)
-			got, want := s.FeaturesAt(idx), s.Features(s.FromIndex(idx))
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d features want %d", s.TaskName, len(got), len(want))
-			}
-			for j := range want {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("%s: feature %d of %d = %v want %v", s.TaskName, j, idx, got[j], want[j])
+			want := s.Features(s.FromIndex(idx))
+			buf = s.FeaturesInto(idx, buf)
+			for _, got := range [][]float64{s.FeaturesAt(idx), buf} {
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d features want %d", s.TaskName, len(got), len(want))
+				}
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("%s: feature %d of %d = %v want %v", s.TaskName, j, idx, got[j], want[j])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestNeighborPanicsLikeFromIndex pins the out-of-range panic message.
+// TestIndexHelpersAllocateNothing pins the annealer's per-candidate
+// helpers to zero allocations.
+func TestIndexHelpersAllocateNothing(t *testing.T) {
+	s := MustForTask(taskOf(t, workload.ResNet18, 7))
+	g := rng.New(10)
+	idx := s.RandomIndex(g)
+	buf := make([]float64, 0, s.FeatureLen())
+	if allocs := testing.AllocsPerRun(100, func() { buf = s.FeaturesInto(idx, buf) }); allocs != 0 {
+		t.Fatalf("FeaturesInto: %v allocs per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { idx = s.Neighbor(idx, g) }); allocs != 0 {
+		t.Fatalf("Neighbor: %v allocs per call, want 0", allocs)
+	}
+}
+
+// TestNeighborPanicsLikeFromIndex pins the out-of-range panic message of
+// Neighbor and FeaturesInto to FromIndex's.
 func TestNeighborPanicsLikeFromIndex(t *testing.T) {
 	s := MustForTask(taskOf(t, workload.AlexNet, 1))
 	catch := func(f func()) (msg any) {
@@ -87,9 +109,11 @@ func TestNeighborPanicsLikeFromIndex(t *testing.T) {
 	}
 	for _, idx := range []int64{-1, s.Size()} {
 		want := catch(func() { s.FromIndex(idx) })
-		got := catch(func() { s.Neighbor(idx, rng.New(1)) })
-		if want == nil || got != want {
+		if got := catch(func() { s.Neighbor(idx, rng.New(1)) }); want == nil || got != want {
 			t.Fatalf("Neighbor(%d) panic = %v want %v", idx, got, want)
+		}
+		if got := catch(func() { s.FeaturesInto(idx, nil) }); got != want {
+			t.Fatalf("FeaturesInto(%d) panic = %v want %v", idx, got, want)
 		}
 	}
 }

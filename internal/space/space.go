@@ -35,12 +35,17 @@ func (s *Space) Size() int64 { return s.size }
 // NumKnobs returns the number of tunable dimensions.
 func (s *Space) NumKnobs() int { return len(s.Knobs) }
 
-// FromIndex decodes a flat index into a configuration (mixed radix,
-// first knob fastest).
-func (s *Space) FromIndex(idx int64) Config {
+// CheckIndex panics unless idx is a flat index of the space.
+func (s *Space) CheckIndex(idx int64) {
 	if idx < 0 || idx >= s.size {
 		panic(fmt.Sprintf("space: index %d out of [0, %d)", idx, s.size))
 	}
+}
+
+// FromIndex decodes a flat index into a configuration (mixed radix,
+// first knob fastest).
+func (s *Space) FromIndex(idx int64) Config {
+	s.CheckIndex(idx)
 	cfg := make(Config, len(s.Knobs))
 	for i := range s.Knobs {
 		n := int64(s.Knobs[i].Size())
@@ -71,24 +76,31 @@ func (s *Space) RandomIndex(g *rng.RNG) int64 { return g.Int63n(s.size) }
 
 // Neighbor proposes a local move: one knob either steps ±1 in its local
 // ordering (half the time, exploiting the smoothness of factorization
-// orderings) or re-samples uniformly.
+// orderings) or re-samples uniformly. It edits the knob's mixed-radix
+// digit in place, so it allocates nothing.
 func (s *Space) Neighbor(idx int64, g *rng.RNG) int64 {
-	cfg := s.FromIndex(idx)
+	s.CheckIndex(idx)
 	k := g.Intn(len(s.Knobs))
 	n := s.Knobs[k].Size()
 	if n == 1 {
 		return idx
 	}
+	stride := int64(1)
+	for i := 0; i < k; i++ {
+		stride *= int64(s.Knobs[i].Size())
+	}
+	cur := int(idx / stride % int64(n))
+	next := 0
 	if g.Bool(0.5) {
 		step := 1
 		if g.Bool(0.5) {
 			step = -1
 		}
-		cfg[k] = (cfg[k] + step + n) % n
+		next = (cur + step + n) % n
 	} else {
-		cfg[k] = g.Intn(n)
+		next = g.Intn(n)
 	}
-	return s.ToIndex(cfg)
+	return idx + int64(next-cur)*stride
 }
 
 // FeatureLen returns the featurization width of the space.
@@ -111,7 +123,23 @@ func (s *Space) Features(cfg Config) []float64 {
 }
 
 // FeaturesAt is Features(FromIndex(idx)).
-func (s *Space) FeaturesAt(idx int64) []float64 { return s.Features(s.FromIndex(idx)) }
+func (s *Space) FeaturesAt(idx int64) []float64 {
+	return s.FeaturesInto(idx, make([]float64, 0, s.FeatureLen()))
+}
+
+// FeaturesInto is FeaturesAt writing into buf's storage: it decodes the
+// digits in place and returns buf[:FeatureLen()], allocating nothing when
+// buf has the capacity.
+func (s *Space) FeaturesInto(idx int64, buf []float64) []float64 {
+	s.CheckIndex(idx)
+	buf = buf[:0]
+	for i := range s.Knobs {
+		n := int64(s.Knobs[i].Size())
+		buf = s.Knobs[i].AppendFeatures(buf, int(idx%n))
+		idx /= n
+	}
+	return buf
+}
 
 // Describe renders a configuration human-readably, e.g. for tuning logs.
 func (s *Space) Describe(cfg Config) string {

@@ -159,7 +159,7 @@ func (a AutoTVM) propose(sp *space.Space, model *gbt.Ensemble, seeds []int64, n 
 	cfg.InitialSeed = seeds
 	problem := anneal.Problem{
 		Size:     sp.Size(),
-		Score:    func(i int64) float64 { return model.Predict(sp.FeaturesAt(i)) },
+		Score:    gbtScore(model, sp),
 		Neighbor: sp.Neighbor,
 	}
 	top, err := anneal.Run(problem, cfg, 4*n, g)
@@ -187,6 +187,17 @@ func (a AutoTVM) propose(sp *space.Space, model *gbt.Ensemble, seeds []int64, n 
 		}
 	}
 	return out
+}
+
+// gbtScore is the annealer's batch energy for a GBT cost model.
+func gbtScore(model *gbt.Ensemble, sp *space.Space) func(idx []int64, out []float64) {
+	return func(idx []int64, out []float64) {
+		buf := make([]float64, 0, sp.FeatureLen())
+		for j, i := range idx {
+			buf = sp.FeaturesInto(i, buf)
+			out[j] = model.Predict(buf)
+		}
+	}
 }
 
 func min(a, b int) int {

@@ -101,7 +101,7 @@ func (c Chameleon) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 
 		problem := anneal.Problem{
 			Size:     sp.Size(),
-			Score:    func(i int64) float64 { return model.Predict(sp.FeaturesAt(i)) },
+			Score:    gbtScore(model, sp),
 			Neighbor: sp.Neighbor,
 		}
 		top, err := anneal.Run(problem, annealCfg, pool, g)
