@@ -73,15 +73,6 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Parallel hot-path benchmarks as a machine-readable artifact. Compare
-# workers=1 vs workers=N entries to see the scaling on this machine.
-.PHONY: bench-parallel
-bench-parallel:
-	$(GO) test -bench 'BenchmarkAnneal|BenchmarkGBT|BenchmarkEnsembleSelect' -benchmem -run '^$$' \
-		./internal/anneal/... ./internal/gbt/... ./internal/sampler/... \
-		| $(GO) run ./cmd/benchjson > BENCH_parallel.json
-	@echo wrote BENCH_parallel.json
-
 # Observability overhead benchmarks as a machine-readable artifact:
 # disabled-tracer cost (must stay in the low single-digit ns, 0 allocs),
 # enabled-tracer cost, metric primitives, and the Reliable wrapper.

@@ -135,9 +135,7 @@ func runEpisode(dev *gpusim.Device, hw []float64, task workload.Task,
 	}
 
 	for step := 0; step < cfg.Steps; step++ {
-		sur, err := gp.FitWithGridSearch(xs, ys, 1e-3, func(v, s float64) gp.Kernel {
-			return gp.Matern52{Variance: v, LengthScale: s}
-		})
+		sur, err := gp.FitWithGridSearch(xs, ys, 1e-3)
 		if err != nil {
 			return nil, nil, err
 		}

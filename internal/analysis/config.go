@@ -54,6 +54,8 @@ var Scope = struct {
 		"internal/sampler",
 		"internal/acq",
 		"internal/nn",
+		"internal/gp",
+		"internal/mat",
 		"internal/rng",
 		"internal/prior",
 		"internal/space",

@@ -20,7 +20,7 @@ func benchScore(i int64) float64 {
 }
 
 // BenchmarkAnneal measures the chain-sharded hot path at several worker
-// counts; `make bench` snapshots it into BENCH_parallel.json.
+// counts; `make bench` runs it.
 func BenchmarkAnneal(b *testing.B) {
 	p := Problem{
 		Size:  1 << 20,

@@ -250,9 +250,7 @@ func (ts *TuneSession) surrogate(sc telemetry.SpanContext) (*gp.Regressor, float
 	gx, gy := capGPSet(gpx, gpy, 144)
 	tsp, _ := ts.gl.Tracer.StartSpan(sc, telemetry.StageSurrogateTrain)
 	tsp.SetAttr("rows", len(gx))
-	sur, err := gp.FitWithGridSearch(gx, gy, 1e-3, func(v, sc float64) gp.Kernel {
-		return gp.Matern52{Variance: v, LengthScale: sc}
-	})
+	sur, err := gp.FitWithGridSearch(gx, gy, 1e-3)
 	tsp.End()
 	if err != nil {
 		return nil, 0, err

@@ -31,7 +31,7 @@ func benchData(rows, cols int, seed int64) ([][]float64, []float64) {
 }
 
 // BenchmarkGBTTrain measures boosted training (split search dominates) at
-// several worker counts; `make bench` snapshots it into BENCH_parallel.json.
+// several worker counts; `make bench` runs it.
 func BenchmarkGBTTrain(b *testing.B) {
 	x, y := benchData(1200, 48, 1)
 	for _, workers := range []int{1, 2, 4, 8} {

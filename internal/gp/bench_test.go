@@ -14,11 +14,11 @@ const benchRows, benchDims = 144, 20
 func benchFit(b *testing.B) (*Regressor, *refModel, [][]float64) {
 	b.Helper()
 	x, y := oracleProblem(rng.New(1), benchRows, benchDims)
-	r, err := FitWithGridSearch(x, y, 1e-3, matern)
+	r, err := FitWithGridSearch(x, y, 1e-3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, err := refFitWithGridSearch(x, y, 1e-3, matern)
+	ref, err := refFitWithGridSearch(x, y, 1e-3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func BenchmarkGPFitGrid(b *testing.B) {
 	x, y := oracleProblem(rng.New(1), benchRows, benchDims)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := FitWithGridSearch(x, y, 1e-3, matern); err != nil {
+		if _, err := FitWithGridSearch(x, y, 1e-3); err != nil {
 			b.Fatal(err)
 		}
 	}

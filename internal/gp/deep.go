@@ -67,9 +67,7 @@ func (d *DeepRegressor) FitTarget(x [][]float64, y []float64) error {
 	if err != nil {
 		return err
 	}
-	gpr, err := FitWithGridSearch(feats, y, 1e-4, func(v, s float64) Kernel {
-		return Matern52{Variance: v, LengthScale: s}
-	})
+	gpr, err := FitWithGridSearch(feats, y, 1e-4)
 	if err != nil {
 		return err
 	}

@@ -5,34 +5,17 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/neuralcompile/glimpse/internal/mat"
 	"github.com/neuralcompile/glimpse/internal/rng"
 )
-
-func TestRBFKernelProperties(t *testing.T) {
-	k := RBF{Variance: 2, LengthScale: 1.5}
-	a := []float64{1, 2}
-	// k(x,x) = σ².
-	if got := k.Eval(a, a); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("k(x,x) = %g want 2", got)
-	}
-	// Symmetry and decay.
-	b := []float64{3, 4}
-	if k.Eval(a, b) != k.Eval(b, a) {
-		t.Fatal("kernel not symmetric")
-	}
-	c := []float64{10, 10}
-	if k.Eval(a, b) <= k.Eval(a, c) {
-		t.Fatal("kernel does not decay with distance")
-	}
-}
 
 func TestMatern52Properties(t *testing.T) {
 	k := Matern52{Variance: 1, LengthScale: 1}
 	a, b := []float64{0}, []float64{1}
-	if got := k.Eval(a, a); math.Abs(got-1) > 1e-12 {
+	if got := k.Cov(mat.Dist2(a, a)); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("k(x,x) = %g", got)
 	}
-	v := k.Eval(a, b)
+	v := k.Cov(mat.Dist2(a, b))
 	if v <= 0 || v >= 1 {
 		t.Fatalf("k(0,1) = %g want in (0,1)", v)
 	}
@@ -48,7 +31,7 @@ func TestGramPSDProperty(t *testing.T) {
 		for i := range x {
 			x[i] = []float64{g.NormFloat64(), g.NormFloat64()}
 		}
-		r := NewRegressor(RBF{Variance: 1, LengthScale: 1}, 1e-6)
+		r := NewRegressor(Matern52{Variance: 1, LengthScale: 1}, 1e-6)
 		return r.Fit(x, make([]float64, n)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -59,7 +42,7 @@ func TestGramPSDProperty(t *testing.T) {
 func TestGPInterpolatesTrainingData(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}, {3}}
 	y := []float64{0, 1, 4, 9}
-	r := NewRegressor(RBF{Variance: 10, LengthScale: 1}, 1e-8)
+	r := NewRegressor(Matern52{Variance: 10, LengthScale: 1}, 1e-8)
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +60,7 @@ func TestGPInterpolatesTrainingData(t *testing.T) {
 func TestGPVarianceGrowsAwayFromData(t *testing.T) {
 	x := [][]float64{{0}, {1}}
 	y := []float64{0, 1}
-	r := NewRegressor(RBF{Variance: 1, LengthScale: 0.5}, 1e-6)
+	r := NewRegressor(Matern52{Variance: 1, LengthScale: 0.5}, 1e-6)
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +72,7 @@ func TestGPVarianceGrowsAwayFromData(t *testing.T) {
 }
 
 func TestGPUnfittedPredictsPrior(t *testing.T) {
-	r := NewRegressor(RBF{Variance: 3, LengthScale: 1}, 1e-6)
+	r := NewRegressor(Matern52{Variance: 3, LengthScale: 1}, 1e-6)
 	m, v := r.Predict([]float64{1})
 	if m != 0 {
 		t.Fatalf("prior mean = %g want 0", m)
@@ -100,7 +83,7 @@ func TestGPUnfittedPredictsPrior(t *testing.T) {
 }
 
 func TestGPRejectsRaggedInput(t *testing.T) {
-	r := NewRegressor(RBF{Variance: 1, LengthScale: 1}, 1e-6)
+	r := NewRegressor(Matern52{Variance: 1, LengthScale: 1}, 1e-6)
 	err := r.Fit([][]float64{{1, 2}, {3}}, []float64{0, 1})
 	if err == nil {
 		t.Fatal("ragged input accepted")
@@ -124,8 +107,8 @@ func TestLogMarginalLikelihoodPrefersTrueScale(t *testing.T) {
 		x[i] = []float64{xi}
 		y[i] = math.Sin(xi) + 0.01*g.NormFloat64()
 	}
-	long := NewRegressor(RBF{Variance: 1, LengthScale: 1}, 1e-4)
-	short := NewRegressor(RBF{Variance: 1, LengthScale: 0.01}, 1e-4)
+	long := NewRegressor(Matern52{Variance: 1, LengthScale: 1}, 1e-4)
+	short := NewRegressor(Matern52{Variance: 1, LengthScale: 0.01}, 1e-4)
 	if err := long.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +130,7 @@ func TestFitWithGridSearch(t *testing.T) {
 		x[i] = []float64{xi}
 		y[i] = math.Sin(xi)
 	}
-	r, err := FitWithGridSearch(x, y, 1e-4, func(v, s float64) Kernel {
-		return RBF{Variance: v, LengthScale: s}
-	})
+	r, err := FitWithGridSearch(x, y, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,34 +6,35 @@ import "github.com/neuralcompile/glimpse/internal/mat"
 const Lanes = 4
 
 // Scratch is the caller-owned workspace of PredictLanes: per lane, the
-// kernel vector and the two triangular-solve vectors. The zero value is
-// ready to use and grows to the regressor's size on first use, so one
-// Scratch serves any number of calls and regressors. A Scratch must not be
-// shared between goroutines.
+// kernel vector and the forward-solve vector. The zero value is ready to
+// use and grows to the regressor's size on first use, so one Scratch
+// serves any number of calls and regressors. A Scratch must not be shared
+// between goroutines.
 type Scratch struct {
-	ks, y, v [Lanes][]float64
+	ks, y [Lanes][]float64
 }
 
 // size makes the first lanes vectors of s hold n values.
 func (s *Scratch) size(n, lanes int) {
 	for l := 0; l < lanes; l++ {
 		if cap(s.ks[l]) < n {
-			s.ks[l], s.y[l], s.v[l] = make([]float64, n), make([]float64, n), make([]float64, n)
+			s.ks[l], s.y[l] = make([]float64, n), make([]float64, n)
 		}
-		s.ks[l], s.y[l], s.v[l] = s.ks[l][:n], s.y[l][:n], s.v[l][:n]
+		s.ks[l], s.y[l] = s.ks[l][:n], s.y[l][:n]
 	}
 }
 
 // PredictLanes writes the posterior mean and variance at each of the
 // 1..Lanes query points q[l] into mean[l] and variance[l].
 //
-// Each lane does exactly the arithmetic of a lone posterior, term for term:
-// kernel vector k, mean ȳ + k·α, forward solve L·y = k, backward solve
-// Lᵀ·v = y, variance k(q,q) − k·v. What the lanes share is the pass over
-// L: each triangular solve is a serial chain of dependent subtractions,
-// and stepping four independent chains through one row of L at a time
-// lets the CPU overlap them. The backward pass reads a row-major Lᵀ
-// built once per fit instead of striding L by column.
+// Each lane computes the kernel vector k, the mean ȳ + k·α, the forward
+// solve L·y = k and the variance k(q,q) − y·y. Because K⁻¹ = L⁻ᵀL⁻¹,
+// y·y is kᵀK⁻¹k, so the variance needs no backward solve. The lanes share
+// two passes: one over the training rows, which computes every lane's
+// squared distance to a row (in mat.Dist2's term order) before its
+// covariance, and one over L, where stepping four independent chains of
+// dependent subtractions through one row at a time lets the CPU overlap
+// them.
 //
 // It allocates nothing once s has grown to the regressor's size.
 func (r *Regressor) PredictLanes(q [][]float64, mean, variance []float64, s *Scratch) {
@@ -41,29 +42,31 @@ func (r *Regressor) PredictLanes(q [][]float64, mean, variance []float64, s *Scr
 	if m < 1 || m > Lanes {
 		panic("gp: PredictLanes takes 1 to Lanes queries")
 	}
+	kqq := r.Kernel.Cov(0)
 	if !r.Fitted() {
-		for l, ql := range q {
-			mean[l], variance[l] = r.yMean, r.Kernel.Eval(ql, ql)
+		for l := range q {
+			mean[l], variance[l] = r.yMean, kqq
 		}
 		return
 	}
 	n := len(r.x)
+	for _, ql := range q {
+		if len(ql) != len(r.x[0]) {
+			panic("gp: PredictLanes query width differs from the training rows")
+		}
+	}
 	if m == 1 {
 		s.size(n, 1)
 	} else {
 		s.size(n, Lanes)
 	}
-	for l, ql := range q {
-		ks := s.ks[l]
-		for i, xi := range r.x {
-			ks[i] = r.Kernel.Eval(ql, xi)
-		}
-		mean[l] = r.yMean + mat.Dot(ks, r.alpha)
+	r.kernelVectors(q, &s.ks)
+	for l := range q {
+		mean[l] = r.yMean + mat.Dot(s.ks[l], r.alpha)
 	}
-	ld, ltd := r.chol.RawData(), r.cholT.RawData()
+	ld := r.chol.RawData()
 	if m == 1 {
 		forward1(ld, n, s.ks[0], s.y[0])
-		backward1(ltd, n, s.y[0], s.v[0])
 	} else {
 		// Idle lanes solve lane 0's vector again into their own buffers;
 		// their results are never read.
@@ -72,14 +75,48 @@ func (r *Regressor) PredictLanes(q [][]float64, mean, variance []float64, s *Scr
 			b[l] = s.ks[0]
 		}
 		forward4(ld, n, &b, &s.y)
-		backward4(ltd, n, &s.y, &s.v)
 	}
-	for l, ql := range q {
-		v := r.Kernel.Eval(ql, ql) - mat.Dot(s.ks[l], s.v[l])
+	for l := range q {
+		v := kqq - mat.Dot(s.y[l], s.y[l])
 		if v < 0 {
 			v = 0
 		}
 		variance[l] = v
+	}
+}
+
+// kernelVectors writes k(q[l], x_i) into ks[l][i] for every lane l and
+// training row i. Four lanes share one pass over each row: every lane's
+// squared distance adds its terms in mat.Dist2's order, and idle lanes
+// repeat lane 0's query without a covariance.
+func (r *Regressor) kernelVectors(q [][]float64, ks *[Lanes][]float64) {
+	if len(q) == 1 {
+		for i, xi := range r.x {
+			ks[0][i] = r.Kernel.Cov(mat.Dist2(q[0], xi))
+		}
+		return
+	}
+	var qs [Lanes][]float64
+	for l := range qs {
+		qs[l] = q[0]
+	}
+	copy(qs[:], q)
+	d := len(q[0])
+	q0, q1, q2, q3 := qs[0][:d], qs[1][:d], qs[2][:d], qs[3][:d]
+	for i, xi := range r.x {
+		xi = xi[:d]
+		var d0, d1, d2, d3 float64
+		for j, v := range xi {
+			e0, e1, e2, e3 := q0[j]-v, q1[j]-v, q2[j]-v, q3[j]-v
+			d0 += e0 * e0
+			d1 += e1 * e1
+			d2 += e2 * e2
+			d3 += e3 * e3
+		}
+		d2s := [Lanes]float64{d0, d1, d2, d3}
+		for l := range q {
+			ks[l][i] = r.Kernel.Cov(d2s[l])
+		}
 	}
 }
 
@@ -93,19 +130,6 @@ func forward1(ld []float64, n int, b, y []float64) {
 			s -= lik * yi[k]
 		}
 		y[i] = s / row[i]
-	}
-}
-
-// backward1 solves Lᵀ·x = y by backward substitution; ltd is Lᵀ row-major.
-func backward1(ltd []float64, n int, y, x []float64) {
-	for i := n - 1; i >= 0; i-- {
-		row := ltd[i*n : (i+1)*n]
-		xi := x[i+1 : n]
-		s := y[i]
-		for k, ltik := range row[i+1:] {
-			s -= ltik * xi[k]
-		}
-		x[i] = s / row[i]
 	}
 }
 
@@ -126,25 +150,5 @@ func forward4(ld []float64, n int, b, y *[Lanes][]float64) {
 		}
 		d := row[i]
 		y0[i], y1[i], y2[i], y3[i] = s0/d, s1/d, s2/d, s3/d
-	}
-}
-
-// backward4 is backward1 on four right-hand sides at once, each lane
-// keeping backward1's term order.
-func backward4(ltd []float64, n int, y, x *[Lanes][]float64) {
-	y0, y1, y2, y3 := y[0][:n], y[1][:n], y[2][:n], y[3][:n]
-	x0, x1, x2, x3 := x[0][:n], x[1][:n], x[2][:n], x[3][:n]
-	for i := n - 1; i >= 0; i-- {
-		row := ltd[i*n : (i+1)*n]
-		p0, p1, p2, p3 := x0[i+1:], x1[i+1:], x2[i+1:], x3[i+1:]
-		s0, s1, s2, s3 := y0[i], y1[i], y2[i], y3[i]
-		for k, ltik := range row[i+1:] {
-			s0 -= ltik * p0[k]
-			s1 -= ltik * p1[k]
-			s2 -= ltik * p2[k]
-			s3 -= ltik * p3[k]
-		}
-		d := row[i]
-		x0[i], x1[i], x2[i], x3[i] = s0/d, s1/d, s2/d, s3/d
 	}
 }

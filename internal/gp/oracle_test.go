@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,7 +12,17 @@ import (
 // The reference implementations below are frozen copies of the GP
 // posterior and grid fit as they were before the lane engine: column-
 // strided At() solves, one allocation per intermediate. The engine must
-// reproduce them bit for bit, so every comparison here is exact.
+// reproduce their fit and mean bit for bit. Its variance skips the
+// backward solve, so it equals predictForward's exactly and the frozen
+// two-solve variance to within rounding.
+
+// refCov is the Matérn-5/2 covariance as the kernel computed it before it
+// took a squared distance.
+func refCov(k Matern52, a, b []float64) float64 {
+	r := math.Sqrt(mat.Dist2(a, b)) / k.LengthScale
+	s5r := math.Sqrt(5) * r
+	return k.Variance * (1 + s5r + 5*r*r/3) * math.Exp(-s5r)
+}
 
 func refCholesky(a *mat.Matrix) (*mat.Matrix, error) {
 	n := a.Rows()
@@ -37,7 +48,8 @@ func refCholesky(a *mat.Matrix) (*mat.Matrix, error) {
 	return l, nil
 }
 
-func refSolveCholesky(l *mat.Matrix, b []float64) []float64 {
+// refForward solves L·y = b.
+func refForward(l *mat.Matrix, b []float64) []float64 {
 	n := l.Rows()
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -47,6 +59,12 @@ func refSolveCholesky(l *mat.Matrix, b []float64) []float64 {
 		}
 		y[i] = s / l.At(i, i)
 	}
+	return y
+}
+
+func refSolveCholesky(l *mat.Matrix, b []float64) []float64 {
+	n := l.Rows()
+	y := refForward(l, b)
 	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
@@ -58,12 +76,12 @@ func refSolveCholesky(l *mat.Matrix, b []float64) []float64 {
 	return x
 }
 
-func refGram(k Kernel, x [][]float64, noise float64) *mat.Matrix {
+func refGram(k Matern52, x [][]float64, noise float64) *mat.Matrix {
 	n := len(x)
 	out := mat.New(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			v := k.Eval(x[i], x[j])
+			v := refCov(k, x[i], x[j])
 			out.Set(i, j, v)
 			out.Set(j, i, v)
 		}
@@ -74,14 +92,14 @@ func refGram(k Kernel, x [][]float64, noise float64) *mat.Matrix {
 
 // refModel is the state a reference fit produces.
 type refModel struct {
-	kernel Kernel
+	kernel Matern52
 	x      [][]float64
 	yMean  float64
 	alpha  []float64
 	chol   *mat.Matrix
 }
 
-func refFit(k Kernel, noise float64, x [][]float64, y []float64) (*refModel, error) {
+func refFit(k Matern52, noise float64, x [][]float64, y []float64) (*refModel, error) {
 	yMean := mat.Mean(y)
 	centered := make([]float64, len(y))
 	for i, v := range y {
@@ -114,28 +132,60 @@ func (m *refModel) lml(y []float64) float64 {
 	return fit + complexity + norm
 }
 
-func (m *refModel) predict(q []float64) (mean, variance float64) {
+func (m *refModel) kernelVector(q []float64) []float64 {
 	ks := make([]float64, len(m.x))
 	for i, xi := range m.x {
-		ks[i] = m.kernel.Eval(q, xi)
+		ks[i] = refCov(m.kernel, q, xi)
 	}
+	return ks
+}
+
+// predict is the two-solve posterior: variance k(q,q) − k·K⁻¹k.
+func (m *refModel) predict(q []float64) (mean, variance float64) {
+	ks := m.kernelVector(q)
 	mean = m.yMean + mat.Dot(ks, m.alpha)
 	v := refSolveCholesky(m.chol, ks)
-	variance = m.kernel.Eval(q, q) - mat.Dot(ks, v)
+	variance = refCov(m.kernel, q, q) - mat.Dot(ks, v)
 	if variance < 0 {
 		variance = 0
 	}
 	return mean, variance
 }
 
-func refFitWithGridSearch(x [][]float64, y []float64, noise float64,
-	makeKernel func(variance, lengthScale float64) Kernel) (*refModel, error) {
+// predictForward is the forward-only posterior: variance k(q,q) − y·y
+// with L·y = k.
+func (m *refModel) predictForward(q []float64) (mean, variance float64) {
+	ks := m.kernelVector(q)
+	mean = m.yMean + mat.Dot(ks, m.alpha)
+	y := refForward(m.chol, ks)
+	variance = refCov(m.kernel, q, q) - mat.Dot(y, y)
+	if variance < 0 {
+		variance = 0
+	}
+	return mean, variance
+}
 
+// checkPosterior requires (mean, variance) at q to equal the forward-only
+// reference bit for bit, and the variance to be within 1e-9·k(q,q) of the
+// frozen two-solve variance.
+func checkPosterior(t *testing.T, where string, want *refModel, q []float64, mean, variance float64) {
+	t.Helper()
+	wm, wv := want.predictForward(q)
+	if math.Float64bits(mean) != math.Float64bits(wm) || math.Float64bits(variance) != math.Float64bits(wv) {
+		t.Fatalf("%s: (%v, %v) want (%v, %v)", where, mean, variance, wm, wv)
+	}
+	_, v2 := want.predict(q)
+	if tol := 1e-9 * refCov(want.kernel, q, q); math.Abs(variance-v2) > tol {
+		t.Fatalf("%s: variance %v differs from the two-solve %v by more than %v", where, variance, v2, tol)
+	}
+}
+
+func refFitWithGridSearch(x [][]float64, y []float64, noise float64) (*refModel, error) {
 	var best *refModel
 	bestLML := math.Inf(-1)
 	for _, v := range []float64{0.1, 1, 10} {
 		for _, s := range []float64{0.1, 0.3, 1, 3, 10} {
-			m, err := refFit(makeKernel(v, s), noise, x, y)
+			m, err := refFit(Matern52{Variance: v, LengthScale: s}, noise, x, y)
 			if err != nil {
 				continue
 			}
@@ -146,7 +196,7 @@ func refFitWithGridSearch(x [][]float64, y []float64, noise float64,
 		}
 	}
 	if best == nil {
-		return refFit(makeKernel(1, 1), 1e-2, x, y)
+		return refFit(Matern52{Variance: 1, LengthScale: 1}, 1e-2, x, y)
 	}
 	return best, nil
 }
@@ -171,20 +221,19 @@ func oracleProblem(g *rng.RNG, n, d int) ([][]float64, []float64) {
 	return x, y
 }
 
-func matern(v, s float64) Kernel { return Matern52{Variance: v, LengthScale: s} }
-
-// TestGridFitMatchesReference pins FitWithGridSearch's chosen factor,
-// weights and posterior to the reference grid search, bit for bit.
+// TestGridFitMatchesReference pins FitWithGridSearch's chosen
+// hyperparameters, factor and weights to the reference grid search bit
+// for bit, and its posterior as checkPosterior does.
 func TestGridFitMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		g := rng.New(seed)
 		n := 1 + g.Intn(150)
 		x, y := oracleProblem(g, n, 1+g.Intn(20))
-		got, err := FitWithGridSearch(x, y, 1e-3, matern)
+		got, err := FitWithGridSearch(x, y, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refFitWithGridSearch(x, y, 1e-3, matern)
+		want, err := refFitWithGridSearch(x, y, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,10 +249,7 @@ func TestGridFitMatchesReference(t *testing.T) {
 				q[j] = float64(g.Intn(7))
 			}
 			gm, gv := got.Predict(q)
-			wm, wv := want.predict(q)
-			if math.Float64bits(gm) != math.Float64bits(wm) || math.Float64bits(gv) != math.Float64bits(wv) {
-				t.Fatalf("seed %d: Predict = (%v, %v) want (%v, %v)", seed, gm, gv, wm, wv)
-			}
+			checkPosterior(t, fmt.Sprintf("seed %d: Predict", seed), want, q, gm, gv)
 		}
 	}
 }
@@ -221,8 +267,8 @@ func bitsEqual(a, b []float64) bool {
 }
 
 // TestPredictLanesMatchesReference runs every lane count over random
-// fitted GPs and requires each lane to equal the reference posterior bit
-// for bit, with one Scratch reused across sizes and calls.
+// fitted GPs and checks each lane's posterior as checkPosterior does,
+// with one Scratch reused across sizes and calls.
 func TestPredictLanesMatchesReference(t *testing.T) {
 	var s Scratch
 	for seed := int64(1); seed <= 12; seed++ {
@@ -230,11 +276,11 @@ func TestPredictLanesMatchesReference(t *testing.T) {
 		n := 1 + g.Intn(150)
 		d := 1 + g.Intn(20)
 		x, y := oracleProblem(g, n, d)
-		r, err := FitWithGridSearch(x, y, 1e-3, matern)
+		r, err := FitWithGridSearch(x, y, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refFitWithGridSearch(x, y, 1e-3, matern)
+		want, err := refFitWithGridSearch(x, y, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,12 +296,8 @@ func TestPredictLanesMatchesReference(t *testing.T) {
 				var mean, variance [Lanes]float64
 				r.PredictLanes(q, mean[:], variance[:], &s)
 				for l := range q {
-					wm, wv := want.predict(q[l])
-					if math.Float64bits(mean[l]) != math.Float64bits(wm) ||
-						math.Float64bits(variance[l]) != math.Float64bits(wv) {
-						t.Fatalf("seed %d, %d lanes, lane %d: (%v, %v) want (%v, %v)",
-							seed, lanes, l, mean[l], variance[l], wm, wv)
-					}
+					checkPosterior(t, fmt.Sprintf("seed %d, %d lanes, lane %d", seed, lanes, l),
+						want, q[l], mean[l], variance[l])
 				}
 			}
 		}
@@ -269,7 +311,7 @@ func TestPredictLanesUnfitted(t *testing.T) {
 	var mean, variance [Lanes]float64
 	r.PredictLanes(q, mean[:], variance[:], &Scratch{})
 	for l := range q {
-		if mean[l] != 0 || math.Float64bits(variance[l]) != math.Float64bits(r.Kernel.Eval(q[l], q[l])) {
+		if mean[l] != 0 || math.Float64bits(variance[l]) != math.Float64bits(refCov(r.Kernel, q[l], q[l])) {
 			t.Fatalf("lane %d: (%v, %v) want (0, k(q,q))", l, mean[l], variance[l])
 		}
 	}
@@ -280,7 +322,7 @@ func TestPredictLanesUnfitted(t *testing.T) {
 func TestPredictLanesAllocatesNothing(t *testing.T) {
 	g := rng.New(3)
 	x, y := oracleProblem(g, 144, 20)
-	r, err := FitWithGridSearch(x, y, 1e-3, matern)
+	r, err := FitWithGridSearch(x, y, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}

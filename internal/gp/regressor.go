@@ -8,18 +8,17 @@ import (
 
 // Regressor is an exact Gaussian-process regressor.
 type Regressor struct {
-	Kernel Kernel
+	Kernel Matern52
 	Noise  float64 // observation noise variance added to the diagonal
 
 	x     [][]float64
 	yMean float64
 	alpha []float64   // K⁻¹(y - mean)
 	chol  *mat.Matrix // Cholesky factor L of K + noise·I
-	cholT *mat.Matrix // Lᵀ, row-major, for the backward solve
 }
 
 // NewRegressor returns a GP with the given kernel and noise variance.
-func NewRegressor(k Kernel, noise float64) *Regressor {
+func NewRegressor(k Matern52, noise float64) *Regressor {
 	return &Regressor{Kernel: k, Noise: clampNoise(noise)}
 }
 
@@ -86,7 +85,6 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	if err := fitted.fit(x, newFitWork(x, y)); err != nil {
 		return err
 	}
-	fitted.cholT = fitted.chol.T()
 	*r = *fitted
 	return nil
 }
@@ -123,16 +121,14 @@ func (r *Regressor) lml(centered []float64) float64 {
 	return fit + complexity + norm
 }
 
-// FitWithGridSearch fits the GP trying each (variance, lengthscale) pair on
-// a log grid and keeping the hyperparameters with the highest marginal
-// likelihood. The kernel constructor adapts grid points to a concrete kernel.
+// FitWithGridSearch fits a Matérn GP trying each (variance, lengthscale)
+// pair on a log grid and keeping the hyperparameters with the highest
+// marginal likelihood.
 //
 // The grid points share one Gram workspace and two factor buffers: each
 // point factors into the spare buffer, and a new best swaps it with the
 // kept one, so the grid makes no garbage beyond the model it returns.
-func FitWithGridSearch(x [][]float64, y []float64, noise float64,
-	makeKernel func(variance, lengthScale float64) Kernel) (*Regressor, error) {
-
+func FitWithGridSearch(x [][]float64, y []float64, noise float64) (*Regressor, error) {
 	if err := checkDims(x, y); err != nil {
 		return nil, err
 	}
@@ -145,7 +141,7 @@ func FitWithGridSearch(x [][]float64, y []float64, noise float64,
 	bestLML := math.Inf(-1)
 	for _, v := range []float64{0.1, 1, 10} {
 		for _, s := range []float64{0.1, 0.3, 1, 3, 10} {
-			cur.Kernel, cur.Noise = makeKernel(v, s), noise
+			cur.Kernel, cur.Noise = Matern52{Variance: v, LengthScale: s}, noise
 			if err := cur.fit(x, w); err != nil {
 				continue
 			}
@@ -159,12 +155,11 @@ func FitWithGridSearch(x [][]float64, y []float64, noise float64,
 	if best == nil {
 		// Every grid point failed to factor: fall back to a heavily
 		// regularized default so callers still get a usable model.
-		r := NewRegressor(makeKernel(1, 1), 1e-2)
+		r := NewRegressor(Matern52{Variance: 1, LengthScale: 1}, 1e-2)
 		if err := r.Fit(x, y); err != nil {
 			return nil, err
 		}
 		return r, nil
 	}
-	best.cholT = best.chol.T()
 	return best, nil
 }
