@@ -337,3 +337,32 @@ func TestPredictLanesAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictLanesRejectsWideQuery checks that a fitted regressor panics
+// when any lane is wider than the training rows, rather than reading only
+// the first d features of it.
+func TestPredictLanesRejectsWideQuery(t *testing.T) {
+	g := rng.New(4)
+	x, y := oracleProblem(g, 12, 3)
+	r, err := FitWithGridSearch(x, y, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Scratch
+	var mean, variance [Lanes]float64
+	for lanes := 1; lanes <= Lanes; lanes++ {
+		for wide := 0; wide < lanes; wide++ {
+			q := make([][]float64, lanes)
+			copy(q, x[:lanes])
+			q[wide] = append(append([]float64(nil), x[wide]...), 0.5)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%d lanes, lane %d wider than the training rows: no panic", lanes, wide)
+					}
+				}()
+				r.PredictLanes(q, mean[:], variance[:], &s)
+			}()
+		}
+	}
+}

@@ -237,25 +237,6 @@ func TestFitReleasesWorkspaces(t *testing.T) {
 	}
 }
 
-// TestFitStepSkipsInputGradient checks that a training step stops its
-// backward walk at the first Dense layer's parameter gradients: that
-// layer's ∂L/∂x has no reader, so its workspace is never sized, while
-// every later Dense layer's is.
-func TestFitStepSkipsInputGradient(t *testing.T) {
-	net, x, y := fitFixture(acqShape, 40, 5)
-	st := newTrainStep(net, x, y, TrainConfig{Optimizer: NewAdam(1e-3), Loss: MSELoss})
-	st.step(rng.New(6).Perm(40)[:16])
-	for i, l := range net.Layers {
-		d, ok := l.(*Dense)
-		if !ok {
-			continue
-		}
-		if sized := d.dx.RawData() != nil; sized != (i > 0) {
-			t.Fatalf("layer %d (dense): input-gradient workspace sized = %v, want %v", i, sized, i > 0)
-		}
-	}
-}
-
 // BenchmarkFitStep times one optimizer step (forward, MSE loss,
 // backward, clipping, Adam) on the two net shapes toolkit training fits.
 func BenchmarkFitStep(b *testing.B) {

@@ -107,19 +107,6 @@ func (d *Dense) checkIn(x *mat.Matrix) {
 // Backward accumulates ∂L/∂W = gradᵀ·x and ∂L/∂b and returns ∂L/∂x =
 // grad·W in the layer's input-gradient workspace.
 func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
-	d.backwardParams(grad)
-	n := grad.Rows()
-	dx := d.dx.Reuse(n, d.In)
-	wd := d.W.RawData()
-	for k := 0; k < n; k++ {
-		sumRows(dx.RawRow(k), grad.RawRow(k), wd)
-	}
-	return dx
-}
-
-// backwardParams is Backward without ∂L/∂x: it only accumulates ∂L/∂W
-// and ∂L/∂b.
-func (d *Dense) backwardParams(grad *mat.Matrix) {
 	if d.lastX == nil {
 		panic("nn: Dense backward before forward")
 	}
@@ -151,6 +138,12 @@ func (d *Dense) backwardParams(grad *mat.Matrix) {
 			gb[j] += v
 		}
 	}
+	dx := d.dx.Reuse(n, d.In)
+	wd := d.W.RawData()
+	for k := 0; k < n; k++ {
+		sumRows(dx.RawRow(k), grad.RawRow(k), wd)
+	}
+	return dx
 }
 
 // release drops the training workspaces and the cached input.

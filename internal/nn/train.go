@@ -72,16 +72,11 @@ type trainStep struct {
 	x, y       *mat.Matrix
 	cfg        TrainConfig
 	params     []Param
-	first      int // the first layer with parameters, where backward ends
 	bx, by, dy mat.Matrix
 }
 
 func newTrainStep(net *Network, x, y *mat.Matrix, cfg TrainConfig) *trainStep {
-	first := 0
-	for first < len(net.Layers)-1 && net.Layers[first].Params() == nil {
-		first++
-	}
-	return &trainStep{net: net, x: x, y: y, cfg: cfg, params: net.Params(), first: first}
+	return &trainStep{net: net, x: x, y: y, cfg: cfg, params: net.Params()}
 }
 
 // step runs one optimizer step on the samples idx and returns the batch
@@ -98,25 +93,10 @@ func (s *trainStep) step(idx []int) float64 {
 	}
 	pred := s.net.Forward(bx)
 	l := s.cfg.Loss(pred, by, s.dy.Reuse(pred.Dims()))
-	s.backward()
+	s.net.Backward(&s.dy)
 	if s.cfg.ClipNorm > 0 {
 		ClipGradients(s.params, s.cfg.ClipNorm)
 	}
 	s.cfg.Optimizer.Step(s.params)
 	return l
-}
-
-// backward propagates the loss gradient only as far as the parameter
-// gradients need: layers before s.first have nothing to accumulate, and a
-// Dense layer at s.first skips its ∂L/∂x, which nothing reads.
-func (s *trainStep) backward() {
-	layers := s.net.Layers
-	grad := &s.dy
-	for i := len(layers) - 1; i >= s.first; i-- {
-		if d, ok := layers[i].(*Dense); ok && i == s.first {
-			d.backwardParams(grad)
-			return
-		}
-		grad = layers[i].Backward(grad)
-	}
 }
