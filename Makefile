@@ -2,7 +2,7 @@ GO ?= go
 
 # Tier-1 gate: everything a PR must keep green.
 .PHONY: check
-check: vet fmt-check lint waiver-check build test race
+check: vet fmt-check lint waiver-check build cross test race
 
 .PHONY: vet
 vet:
@@ -47,6 +47,13 @@ fmt-check:
 .PHONY: build
 build:
 	$(GO) build ./...
+
+# internal/gp's assembly kernel is amd64-only: building and vetting for
+# arm64 keeps its Go fallback (the build-tagged simd_other.go) compiling.
+.PHONY: cross
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/gp/
 
 .PHONY: test
 test:
@@ -103,17 +110,6 @@ bench-cache:
 	$(GO) test -bench 'BenchmarkCache' -benchtime 1x -benchmem -run '^$$' ./internal/cache/... \
 		| $(GO) run ./cmd/benchjson > BENCH_cache.json
 	@echo wrote BENCH_cache.json
-
-# Tuning-service benchmark as a machine-readable artifact: a glimpsed
-# server under a multi-tenant job stream. Reports sustained jobs/sec,
-# p50/p99 time-to-first-progress, drained-and-resumed jobs (lost must be
-# 0), and the ledger-vs-result GPU-second reconciliation delta (must be
-# ~0).
-.PHONY: bench-serve
-bench-serve:
-	$(GO) test -bench 'BenchmarkServe' -benchtime 1x -benchmem -run '^$$' -timeout 20m ./internal/server/... \
-		| $(GO) run ./cmd/benchjson > BENCH_serve.json
-	@echo wrote BENCH_serve.json
 
 # Toolkit-training benchmarks as a machine-readable artifact: one nn
 # training step on a prior-head-shaped and an acquisition-shaped net

@@ -5,23 +5,36 @@ import "github.com/neuralcompile/glimpse/internal/mat"
 // Lanes is the most queries one PredictLanes call evaluates together.
 const Lanes = 4
 
-// Scratch is the caller-owned workspace of PredictLanes: per lane, the
-// kernel vector and the forward-solve vector. The zero value is ready to
-// use and grows to the regressor's size on first use, so one Scratch
-// serves any number of calls and regressors. A Scratch must not be shared
-// between goroutines.
+// Scratch is the caller-owned workspace of PredictLanes. A call on two to
+// four queries keeps them interleaved: row j of q holds feature j of every
+// lane, row i of ks and y every lane's kernel value and forward-solve value
+// i. A one-lane call uses the plain vectors k1 and y1. The zero value is
+// ready to use and grows to the regressor's size on first use, so one
+// Scratch serves any number of calls and regressors. A Scratch must not be
+// shared between goroutines.
 type Scratch struct {
-	ks, y [Lanes][]float64
+	q, ks, y [][Lanes]float64
+	k1, y1   []float64
 }
 
-// size makes the first lanes vectors of s hold n values.
-func (s *Scratch) size(n, lanes int) {
-	for l := 0; l < lanes; l++ {
-		if cap(s.ks[l]) < n {
-			s.ks[l], s.y[l] = make([]float64, n), make([]float64, n)
-		}
-		s.ks[l], s.y[l] = s.ks[l][:n], s.y[l][:n]
+// size makes s hold the buffers of a call with the given lane count over
+// n training rows of d features.
+func (s *Scratch) size(n, d, lanes int) {
+	if lanes == 1 {
+		s.k1, s.y1 = grow(s.k1, n), grow(s.y1, n)
+		return
 	}
+	s.ks, s.y, s.q = grow(s.ks, n), grow(s.y, n), grow(s.q, d)
+}
+
+// grow returns buf resliced to n values, or new storage if buf holds
+// fewer. New storage at least doubles the old: a tuning session's
+// training set grows every step, and one Scratch serves them all.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, max(n, 2*cap(buf)))
+	}
+	return buf[:n]
 }
 
 // PredictLanes writes the posterior mean and variance at each of the
@@ -29,12 +42,16 @@ func (s *Scratch) size(n, lanes int) {
 //
 // Each lane computes the kernel vector k, the mean ȳ + k·α, the forward
 // solve L·y = k and the variance k(q,q) − y·y. Because K⁻¹ = L⁻ᵀL⁻¹,
-// y·y is kᵀK⁻¹k, so the variance needs no backward solve. The lanes share
-// two passes: one over the training rows, which computes every lane's
-// squared distance to a row (in mat.Dist2's term order) before its
-// covariance, and one over L, where stepping four independent chains of
-// dependent subtractions through one row at a time lets the CPU overlap
-// them.
+// y·y is kᵀK⁻¹k, so the variance needs no backward solve. Two to four
+// queries run as four interleaved lanes that share two passes: one over
+// the training rows, which computes every lane's squared distance to a
+// row (in mat.Dist2's term order), its covariance and its term of k·α,
+// and one over L, which steps the four independent forward solves
+// through one row at a time and adds each solved value's square to y·y.
+// Idle lanes repeat lane 0's query and are never read. Every lane keeps
+// the one-lane path's operation order, so the lane count does not change
+// a result bit; where the CPU allows, the assembly kernel (see kernel
+// selection in simd.go) runs the four-lane passes.
 //
 // It allocates nothing once s has grown to the regressor's size.
 func (r *Regressor) PredictLanes(q [][]float64, mean, variance []float64, s *Scratch) {
@@ -49,75 +66,87 @@ func (r *Regressor) PredictLanes(q [][]float64, mean, variance []float64, s *Scr
 		}
 		return
 	}
-	n := len(r.x)
+	n, d := len(r.x), len(r.x[0])
 	for _, ql := range q {
-		if len(ql) != len(r.x[0]) {
+		if len(ql) != d {
 			panic("gp: PredictLanes query width differs from the training rows")
 		}
 	}
-	if m == 1 {
-		s.size(n, 1)
-	} else {
-		s.size(n, Lanes)
-	}
-	r.kernelVectors(q, &s.ks)
-	for l := range q {
-		mean[l] = r.yMean + mat.Dot(s.ks[l], r.alpha)
-	}
 	ld := r.chol.RawData()
 	if m == 1 {
-		forward1(ld, n, s.ks[0], s.y[0])
-	} else {
-		// Idle lanes solve lane 0's vector again into their own buffers;
-		// their results are never read.
-		b := s.ks
-		for l := m; l < Lanes; l++ {
-			b[l] = s.ks[0]
+		s.size(n, d, 1)
+		ks, y := s.k1, s.y1
+		for i, xi := range r.x {
+			ks[i] = r.Kernel.Cov(mat.Dist2(q[0], xi))
 		}
-		forward4(ld, n, &b, &s.y)
+		mean[0] = r.yMean + mat.Dot(ks, r.alpha)
+		forward1(ld, n, ks, y)
+		variance[0] = clampVariance(kqq - mat.Dot(y, y))
+		return
+	}
+	s.size(n, d, Lanes)
+	for l := 0; l < Lanes; l++ {
+		ql := q[0]
+		if l < m {
+			ql = q[l]
+		}
+		for j, v := range ql {
+			s.q[j][l] = v
+		}
+	}
+	var kAlpha, yy [Lanes]float64
+	if useKernel {
+		if kernelRowsAsm(s.q, r.x, r.Kernel.Variance, r.Kernel.LengthScale, r.alpha, s.ks, &kAlpha) != 0 {
+			// A lane's exp argument left the kernel's range: redo the
+			// pass in Go, which handles every argument.
+			r.kernelRows(s.q, s.ks, &kAlpha)
+		}
+		forwardAsm(ld, s.ks, s.y, &yy)
+	} else {
+		r.kernelRows(s.q, s.ks, &kAlpha)
+		forward4(ld, s.ks, s.y, &yy)
 	}
 	for l := range q {
-		v := kqq - mat.Dot(s.y[l], s.y[l])
-		if v < 0 {
-			v = 0
-		}
-		variance[l] = v
+		mean[l] = r.yMean + kAlpha[l]
+		variance[l] = clampVariance(kqq - yy[l])
 	}
 }
 
-// kernelVectors writes k(q[l], x_i) into ks[l][i] for every lane l and
-// training row i. Four lanes share one pass over each row: every lane's
-// squared distance adds its terms in mat.Dist2's order, and idle lanes
-// repeat lane 0's query without a covariance.
-func (r *Regressor) kernelVectors(q [][]float64, ks *[Lanes][]float64) {
-	if len(q) == 1 {
-		for i, xi := range r.x {
-			ks[0][i] = r.Kernel.Cov(mat.Dist2(q[0], xi))
-		}
-		return
+// clampVariance maps a variance that rounding pushed below zero to zero.
+func clampVariance(v float64) float64 {
+	if v < 0 {
+		return 0
 	}
-	var qs [Lanes][]float64
-	for l := range qs {
-		qs[l] = q[0]
-	}
-	copy(qs[:], q)
-	d := len(q[0])
-	q0, q1, q2, q3 := qs[0][:d], qs[1][:d], qs[2][:d], qs[3][:d]
+	return v
+}
+
+// kernelRows writes k(q_l, x_i) into ks[i][l] for the interleaved
+// queries q and every training row i, and k_l·α into kAlpha[l]. Each
+// lane's squared distance adds its terms in mat.Dist2's order and its
+// dot product in mat.Dot's.
+func (r *Regressor) kernelRows(q, ks [][Lanes]float64, kAlpha *[Lanes]float64) {
+	ks = ks[:len(r.x)]
+	alpha := r.alpha[:len(r.x)]
+	var a0, a1, a2, a3 float64
 	for i, xi := range r.x {
-		xi = xi[:d]
+		xi = xi[:len(q)]
 		var d0, d1, d2, d3 float64
 		for j, v := range xi {
-			e0, e1, e2, e3 := q0[j]-v, q1[j]-v, q2[j]-v, q3[j]-v
+			qj := &q[j]
+			e0, e1, e2, e3 := qj[0]-v, qj[1]-v, qj[2]-v, qj[3]-v
 			d0 += e0 * e0
 			d1 += e1 * e1
 			d2 += e2 * e2
 			d3 += e3 * e3
 		}
-		d2s := [Lanes]float64{d0, d1, d2, d3}
-		for l := range q {
-			ks[l][i] = r.Kernel.Cov(d2s[l])
-		}
+		k := &ks[i]
+		k[0], k[1], k[2], k[3] = r.Kernel.Cov(d0), r.Kernel.Cov(d1), r.Kernel.Cov(d2), r.Kernel.Cov(d3)
+		a0 += k[0] * alpha[i]
+		a1 += k[1] * alpha[i]
+		a2 += k[2] * alpha[i]
+		a3 += k[3] * alpha[i]
 	}
+	*kAlpha = [Lanes]float64{a0, a1, a2, a3}
 }
 
 // forward1 solves L·y = b by forward substitution; ld is L row-major.
@@ -133,22 +162,31 @@ func forward1(ld []float64, n int, b, y []float64) {
 	}
 }
 
-// forward4 is forward1 on four right-hand sides at once, each lane
-// keeping forward1's term order.
-func forward4(ld []float64, n int, b, y *[Lanes][]float64) {
-	b0, b1, b2, b3 := b[0][:n], b[1][:n], b[2][:n], b[3][:n]
-	y0, y1, y2, y3 := y[0][:n], y[1][:n], y[2][:n], y[3][:n]
+// forward4 is forward1 on the four interleaved right-hand sides in b,
+// each lane keeping forward1's term order, and writes each lane's y·y,
+// summed in mat.Dot's order, into yy.
+func forward4(ld []float64, b, y [][Lanes]float64, yy *[Lanes]float64) {
+	n := len(b)
+	y = y[:n]
+	var q0, q1, q2, q3 float64
 	for i := 0; i < n; i++ {
 		row := ld[i*n : i*n+i+1]
-		p0, p1, p2, p3 := y0[:i], y1[:i], y2[:i], y3[:i]
-		s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
+		p := y[:i]
+		s0, s1, s2, s3 := b[i][0], b[i][1], b[i][2], b[i][3]
 		for k, lik := range row[:i] {
-			s0 -= lik * p0[k]
-			s1 -= lik * p1[k]
-			s2 -= lik * p2[k]
-			s3 -= lik * p3[k]
+			yk := &p[k]
+			s0 -= lik * yk[0]
+			s1 -= lik * yk[1]
+			s2 -= lik * yk[2]
+			s3 -= lik * yk[3]
 		}
 		d := row[i]
-		y0[i], y1[i], y2[i], y3[i] = s0/d, s1/d, s2/d, s3/d
+		yi := &y[i]
+		yi[0], yi[1], yi[2], yi[3] = s0/d, s1/d, s2/d, s3/d
+		q0 += yi[0] * yi[0]
+		q1 += yi[1] * yi[1]
+		q2 += yi[2] * yi[2]
+		q3 += yi[3] * yi[3]
 	}
+	*yy = [Lanes]float64{q0, q1, q2, q3}
 }

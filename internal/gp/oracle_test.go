@@ -223,8 +223,14 @@ func oracleProblem(g *rng.RNG, n, d int) ([][]float64, []float64) {
 
 // TestGridFitMatchesReference pins FitWithGridSearch's chosen
 // hyperparameters, factor and weights to the reference grid search bit
-// for bit, and its posterior as checkPosterior does.
+// for bit, and its posterior, one lane and four, as checkPosterior does,
+// with the assembly kernel and with the Go passes.
 func TestGridFitMatchesReference(t *testing.T) {
+	forEachKernel(t, testGridFitMatchesReference)
+}
+
+func testGridFitMatchesReference(t *testing.T) {
+	var s Scratch
 	for seed := int64(1); seed <= 12; seed++ {
 		g := rng.New(seed)
 		n := 1 + g.Intn(150)
@@ -244,12 +250,20 @@ func TestGridFitMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: factor or weights differ from the reference", seed)
 		}
 		for i := 0; i < 20; i++ {
-			q := make([]float64, len(x[0]))
-			for j := range q {
-				q[j] = float64(g.Intn(7))
+			q := make([][]float64, Lanes)
+			for l := range q {
+				q[l] = make([]float64, len(x[0]))
+				for j := range q[l] {
+					q[l][j] = float64(g.Intn(7))
+				}
 			}
-			gm, gv := got.Predict(q)
-			checkPosterior(t, fmt.Sprintf("seed %d: Predict", seed), want, q, gm, gv)
+			gm, gv := got.Predict(q[0])
+			checkPosterior(t, fmt.Sprintf("seed %d: Predict", seed), want, q[0], gm, gv)
+			var mean, variance [Lanes]float64
+			got.PredictLanes(q, mean[:], variance[:], &s)
+			for l := range q {
+				checkPosterior(t, fmt.Sprintf("seed %d: lane %d", seed, l), want, q[l], mean[l], variance[l])
+			}
 		}
 	}
 }
@@ -268,8 +282,13 @@ func bitsEqual(a, b []float64) bool {
 
 // TestPredictLanesMatchesReference runs every lane count over random
 // fitted GPs and checks each lane's posterior as checkPosterior does,
-// with one Scratch reused across sizes and calls.
+// with one Scratch reused across sizes and calls, with the assembly
+// kernel and with the Go passes.
 func TestPredictLanesMatchesReference(t *testing.T) {
+	forEachKernel(t, testPredictLanesMatchesReference)
+}
+
+func testPredictLanesMatchesReference(t *testing.T) {
 	var s Scratch
 	for seed := int64(1); seed <= 12; seed++ {
 		g := rng.New(100 + seed)

@@ -805,3 +805,149 @@ func TestLedgerEndpointReconciles(t *testing.T) {
 		t.Fatalf("budget lost: %+v", got)
 	}
 }
+
+// TestServeTenantSplitAcrossDrain runs a two-tenant stream at a 3:1
+// budget split on two sessions, drains the server mid-stream and restarts
+// it on the same state directory: every job must finish, the drain must
+// have interrupted live sessions that the restart resumes, and each
+// tenant's ledger row must keep its budget and reconcile with its
+// results.
+func TestServeTenantSplitAcrossDrain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs tuning sessions")
+	}
+	dir := t.TempDir()
+	budgets := map[string]float64{"alpha": 30_000, "beta": 10_000}
+	serve := func() (*Server, string) {
+		return newTestServer(t, dir, func(c *Config) {
+			c.Sessions = 2
+			c.TenantBudgets = budgets
+			// A per-batch delay stands in for device time, so the drain
+			// below interrupts sessions mid-run.
+			c.NewMeasurer = func(gpu string) (measure.Measurer, func() error, error) {
+				m, err := measure.NewLocal(gpu)
+				return slowMeasurer{inner: m, delay: 20 * time.Millisecond}, func() error { return nil }, err
+			}
+		})
+	}
+
+	// Four alpha jobs and two beta jobs, distinct seeds.
+	tasks := []struct {
+		model string
+		l     int
+	}{
+		{workload.ResNet18, 4}, {workload.ResNet18, 7}, {workload.AlexNet, 2},
+		{workload.AlexNet, 8}, {workload.VGG16, 8}, {workload.ResNet18, 13},
+	}
+	s1, base1 := serve()
+	ids := make([]string, len(tasks))
+	tenantOf := map[string]string{}
+	for i, ref := range tasks {
+		tenant := "alpha"
+		if i%3 == 2 {
+			tenant = "beta"
+		}
+		ids[i] = submitJob(t, base1, JobSpec{Model: ref.model, TaskIndex: ref.l, GPU: hwspec.TitanXp,
+			Seed: int64(100 + i), Tenant: tenant, MaxMeasurements: 64})
+		tenantOf[ids[i]] = tenant
+	}
+
+	// Drain once a third of the jobs are done and a live session has
+	// checkpointed a step.
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		done, live := 0, false
+		for _, v := range listJobs(t, base1) {
+			if v.State.terminal() {
+				done++
+				continue
+			}
+			for _, ev := range s1.hub.history(v.ID) {
+				live = live || ev.Kind == "step"
+			}
+		}
+		if done >= len(tasks)/3 && live {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs finished and no live checkpoint before the drain deadline", done)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	drainNow(t, s1)
+
+	// Jobs re-queued with a measurement log on disk are the ones the
+	// restart resumes from a checkpoint.
+	st, recovered, err := openStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := 0
+	for _, j := range recovered {
+		if !j.State.terminal() {
+			if fi, err := os.Stat(st.measPath(j.ID)); err == nil && fi.Size() > 0 {
+				resumed++
+			}
+		}
+	}
+	if err := st.close(); err != nil {
+		t.Fatal(err)
+	}
+	if resumed == 0 {
+		t.Fatal("the drain interrupted no session; the restart resumes nothing")
+	}
+
+	s2, base2 := serve()
+	defer drainNow(t, s2)
+	want := map[string]tuner.TenantSpend{}
+	for _, id := range ids {
+		v := waitTerminal(t, base2, id, 2*time.Minute)
+		if v.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", id, v.State, v.Detail)
+		}
+		w := want[tenantOf[id]]
+		w.Jobs++
+		w.Measurements += v.Result.Measurements
+		w.GPUSeconds += v.Result.GPUSeconds
+		want[tenantOf[id]] = w
+	}
+	resp, err := http.Get(base2 + "/v1/tenants")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var tv tenantsView
+	if err := json.NewDecoder(resp.Body).Decode(&tv); err != nil {
+		t.Fatal(err)
+	}
+	if len(tv.Tenants) != len(budgets) {
+		t.Fatalf("tenants view %+v", tv)
+	}
+	for _, got := range tv.Tenants {
+		w := want[got.Tenant]
+		if got.BudgetGPUSeconds != budgets[got.Tenant] {
+			t.Fatalf("%s: budget %v after restart, want %v", got.Tenant, got.BudgetGPUSeconds, budgets[got.Tenant])
+		}
+		if got.Jobs != w.Jobs || got.Measurements != w.Measurements {
+			t.Fatalf("%s: ledger %d jobs, %d measurements; results %d, %d",
+				got.Tenant, got.Jobs, got.Measurements, w.Jobs, w.Measurements)
+		}
+		if diff := got.GPUSeconds - w.GPUSeconds; diff > 1e-6 || diff < -1e-6 {
+			t.Fatalf("%s: ledger %v GPU seconds, results %v", got.Tenant, got.GPUSeconds, w.GPUSeconds)
+		}
+	}
+}
+
+func listJobs(t testing.TB, base string) []jobView {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var views []jobView
+	if err := json.NewDecoder(resp.Body).Decode(&views); err != nil {
+		t.Fatal(err)
+	}
+	return views
+}

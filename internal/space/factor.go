@@ -8,6 +8,7 @@ package space
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -49,22 +50,36 @@ func divisors(n int) []int {
 	return out
 }
 
-// factorCache memoizes factorization tables, which repeat heavily across
-// tasks (channel counts like 64/128/256/512 recur in every model).
-var factorCache sync.Map // map[[2]int][][]int
+// splitTable is a split knob's value table: the ordered k-part factor
+// tuples and their log2 feature rows, k values per tuple back to back.
+type splitTable struct {
+	entries  [][]int
+	features []float64
+}
 
-func cachedFactorizations(n, k int) [][]int {
+// factorCache memoizes factorization tables and their feature rows, which
+// repeat heavily across tasks (channel counts like 64/128/256/512 recur in
+// every model).
+var factorCache sync.Map // map[[2]int]*splitTable
+
+func cachedSplitTable(n, k int) *splitTable {
 	key := [2]int{n, k}
 	if v, ok := factorCache.Load(key); ok {
-		return v.([][]int)
+		return v.(*splitTable)
 	}
-	f := factorizations(n, k)
-	factorCache.Store(key, f)
-	return f
+	t := &splitTable{entries: factorizations(n, k)}
+	t.features = make([]float64, 0, len(t.entries)*k)
+	for _, entry := range t.entries {
+		for _, f := range entry {
+			t.features = append(t.features, math.Log2(float64(f)))
+		}
+	}
+	factorCache.Store(key, t)
+	return t
 }
 
 // countFactorizations returns the number of ordered k-part factorizations
 // of n without materializing them.
 func countFactorizations(n, k int) int {
-	return len(cachedFactorizations(n, k))
+	return len(cachedSplitTable(n, k).entries)
 }

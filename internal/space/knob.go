@@ -69,6 +69,10 @@ type Knob struct {
 
 	// Categorical knob fields.
 	Options []int
+
+	// features holds the feature row of every local index back to back,
+	// FeatureLen values each, built once at construction.
+	features []float64
 }
 
 // NewSplitKnob builds a split knob over an axis of the given length.
@@ -79,13 +83,15 @@ func NewSplitKnob(name string, axis int, roles []Role) Knob {
 	if len(roles) == 0 {
 		panic(fmt.Sprintf("space: split knob %q without roles", name))
 	}
+	t := cachedSplitTable(axis, len(roles))
 	return Knob{
-		Name:    name,
-		Kind:    KindSplit,
-		Axis:    axis,
-		Parts:   len(roles),
-		Roles:   roles,
-		entries: cachedFactorizations(axis, len(roles)),
+		Name:     name,
+		Kind:     KindSplit,
+		Axis:     axis,
+		Parts:    len(roles),
+		Roles:    roles,
+		entries:  t.entries,
+		features: t.features,
 	}
 }
 
@@ -94,7 +100,11 @@ func NewCategoricalKnob(name string, options []int) Knob {
 	if len(options) == 0 {
 		panic(fmt.Sprintf("space: categorical knob %q without options", name))
 	}
-	return Knob{Name: name, Kind: KindCategorical, Options: options}
+	features := make([]float64, len(options))
+	for i, o := range options {
+		features[i] = math.Log2(1 + float64(o))
+	}
+	return Knob{Name: name, Kind: KindCategorical, Options: options, features: features}
 }
 
 // Size returns the number of distinct values the knob can take.
@@ -132,13 +142,9 @@ func (k *Knob) FeatureLen() int {
 
 // AppendFeatures appends the knob's features for local index i to dst.
 // Split parts are encoded as log2(factor); categorical values as
-// log2(1+option) to keep magnitudes comparable.
+// log2(1+option) to keep magnitudes comparable. The rows are computed at
+// construction, so this only copies.
 func (k *Knob) AppendFeatures(dst []float64, i int) []float64 {
-	if k.Kind == KindSplit {
-		for _, f := range k.entries[i] {
-			dst = append(dst, math.Log2(float64(f)))
-		}
-		return dst
-	}
-	return append(dst, math.Log2(1+float64(k.Options[i])))
+	w := k.FeatureLen()
+	return append(dst, k.features[i*w:(i+1)*w]...)
 }

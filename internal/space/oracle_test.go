@@ -29,6 +29,24 @@ func refNeighbor(s *Space, idx int64, g *rng.RNG) int64 {
 	return s.ToIndex(cfg)
 }
 
+// refFeatures is a frozen copy of Features as it was before the knobs
+// kept their feature rows: log2 of each split factor, log2(1+option) of
+// each categorical value, computed per call.
+func refFeatures(s *Space, cfg Config) []float64 {
+	var out []float64
+	for i := range s.Knobs {
+		k := &s.Knobs[i]
+		if k.Kind == KindSplit {
+			for _, f := range k.SplitValue(cfg[i]) {
+				out = append(out, math.Log2(float64(f)))
+			}
+			continue
+		}
+		out = append(out, math.Log2(1+float64(k.CategoricalValue(cfg[i]))))
+	}
+	return out
+}
+
 // oracleSpaces covers every template kind (conv2d, winograd, dense).
 func oracleSpaces(t *testing.T) []*Space {
 	t.Helper()
@@ -58,18 +76,19 @@ func TestNeighborMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFeaturesIntoMatchesReference pins FeaturesAt and FeaturesInto, the
-// latter reusing one buffer across spaces and calls, to
-// Features(FromIndex).
+// TestFeaturesIntoMatchesReference pins Features, FeaturesAt and
+// FeaturesInto, the latter reusing one buffer across spaces and calls, to
+// refFeatures(FromIndex) bit for bit.
 func TestFeaturesIntoMatchesReference(t *testing.T) {
 	var buf []float64
 	for _, s := range oracleSpaces(t) {
 		g := rng.New(9)
 		for i := 0; i < 2000; i++ {
 			idx := s.RandomIndex(g)
-			want := s.Features(s.FromIndex(idx))
+			cfg := s.FromIndex(idx)
+			want := refFeatures(s, cfg)
 			buf = s.FeaturesInto(idx, buf)
-			for _, got := range [][]float64{s.FeaturesAt(idx), buf} {
+			for _, got := range [][]float64{s.Features(cfg), s.FeaturesAt(idx), buf} {
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d features want %d", s.TaskName, len(got), len(want))
 				}
