@@ -7,32 +7,31 @@ const Lanes = 4
 
 // Scratch is the caller-owned workspace of PredictLanes. A call on two to
 // four queries keeps them interleaved: row j of q holds feature j of every
-// lane, row i of ks and y every lane's kernel value and forward-solve value
-// i. A one-lane call uses the plain vectors k1 and y1. The zero value is
-// ready to use and grows to the regressor's size on first use, so one
-// Scratch serves any number of calls and regressors. A Scratch must not be
-// shared between goroutines.
+// lane, and row i of k every lane's kernel value i, which the forward
+// solve then overwrites with its solution. A one-lane call uses the plain
+// vector k1 the same way. The zero value is ready to use and grows to the
+// regressor's size on first use, so one Scratch serves any number of calls
+// and regressors. A Scratch must not be shared between goroutines.
 type Scratch struct {
-	q, ks, y [][Lanes]float64
-	k1, y1   []float64
+	q, k [][Lanes]float64
+	k1   []float64
 }
 
 // size makes s hold the buffers of a call with the given lane count over
 // n training rows of d features.
 func (s *Scratch) size(n, d, lanes int) {
 	if lanes == 1 {
-		s.k1, s.y1 = grow(s.k1, n), grow(s.y1, n)
+		s.k1 = grow(s.k1, n)
 		return
 	}
-	s.ks, s.y, s.q = grow(s.ks, n), grow(s.y, n), grow(s.q, d)
+	s.k, s.q = grow(s.k, n), grow(s.q, d)
 }
 
 // grow returns buf resliced to n values, or new storage if buf holds
-// fewer. New storage at least doubles the old: a tuning session's
-// training set grows every step, and one Scratch serves them all.
+// fewer.
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n, max(n, 2*cap(buf)))
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -75,13 +74,13 @@ func (r *Regressor) PredictLanes(q [][]float64, mean, variance []float64, s *Scr
 	ld := r.chol.RawData()
 	if m == 1 {
 		s.size(n, d, 1)
-		ks, y := s.k1, s.y1
+		k := s.k1
 		for i, xi := range r.x {
-			ks[i] = r.Kernel.Cov(mat.Dist2(q[0], xi))
+			k[i] = r.Kernel.Cov(mat.Dist2(q[0], xi))
 		}
-		mean[0] = r.yMean + mat.Dot(ks, r.alpha)
-		forward1(ld, n, ks, y)
-		variance[0] = clampVariance(kqq - mat.Dot(y, y))
+		mean[0] = r.yMean + mat.Dot(k, r.alpha)
+		forward1(ld, n, k, k)
+		variance[0] = clampVariance(kqq - mat.Dot(k, k))
 		return
 	}
 	s.size(n, d, Lanes)
@@ -96,15 +95,15 @@ func (r *Regressor) PredictLanes(q [][]float64, mean, variance []float64, s *Scr
 	}
 	var kAlpha, yy [Lanes]float64
 	if useKernel {
-		if kernelRowsAsm(s.q, r.x, r.Kernel.Variance, r.Kernel.LengthScale, r.alpha, s.ks, &kAlpha) != 0 {
+		if kernelRowsAsm(s.q, r.x, r.Kernel.Variance, r.Kernel.LengthScale, r.alpha, s.k, &kAlpha) != 0 {
 			// A lane's exp argument left the kernel's range: redo the
 			// pass in Go, which handles every argument.
-			r.kernelRows(s.q, s.ks, &kAlpha)
+			r.kernelRows(s.q, s.k, &kAlpha)
 		}
-		forwardAsm(ld, s.ks, s.y, &yy)
+		forwardAsm(ld, s.k, &yy)
 	} else {
-		r.kernelRows(s.q, s.ks, &kAlpha)
-		forward4(ld, s.ks, s.y, &yy)
+		r.kernelRows(s.q, s.k, &kAlpha)
+		forward4(ld, s.k, &yy)
 	}
 	for l := range q {
 		mean[l] = r.yMean + kAlpha[l]
@@ -149,7 +148,8 @@ func (r *Regressor) kernelRows(q, ks [][Lanes]float64, kAlpha *[Lanes]float64) {
 	*kAlpha = [Lanes]float64{a0, a1, a2, a3}
 }
 
-// forward1 solves L·y = b by forward substitution; ld is L row-major.
+// forward1 solves L·y = b by forward substitution; ld is L row-major. y
+// may be b itself: row i reads b[i] before it writes y[i].
 func forward1(ld []float64, n int, b, y []float64) {
 	for i := 0; i < n; i++ {
 		row := ld[i*n : i*n+i+1]
@@ -162,17 +162,18 @@ func forward1(ld []float64, n int, b, y []float64) {
 	}
 }
 
-// forward4 is forward1 on the four interleaved right-hand sides in b,
-// each lane keeping forward1's term order, and writes each lane's y·y,
-// summed in mat.Dot's order, into yy.
-func forward4(ld []float64, b, y [][Lanes]float64, yy *[Lanes]float64) {
-	n := len(b)
-	y = y[:n]
+// forward4 is forward1 in place on four interleaved lanes: y holds the
+// right-hand sides on entry and the solutions on return, each lane keeping
+// forward1's term order. It writes each lane's y·y, summed in mat.Dot's
+// order, into yy.
+func forward4(ld []float64, y [][Lanes]float64, yy *[Lanes]float64) {
+	n := len(y)
 	var q0, q1, q2, q3 float64
 	for i := 0; i < n; i++ {
 		row := ld[i*n : i*n+i+1]
 		p := y[:i]
-		s0, s1, s2, s3 := b[i][0], b[i][1], b[i][2], b[i][3]
+		yi := &y[i]
+		s0, s1, s2, s3 := yi[0], yi[1], yi[2], yi[3]
 		for k, lik := range row[:i] {
 			yk := &p[k]
 			s0 -= lik * yk[0]
@@ -181,7 +182,6 @@ func forward4(ld []float64, b, y [][Lanes]float64, yy *[Lanes]float64) {
 			s3 -= lik * yk[3]
 		}
 		d := row[i]
-		yi := &y[i]
 		yi[0], yi[1], yi[2], yi[3] = s0/d, s1/d, s2/d, s3/d
 		q0 += yi[0] * yi[0]
 		q1 += yi[1] * yi[1]

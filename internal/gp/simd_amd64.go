@@ -11,7 +11,7 @@ func covAsm(d2 *[Lanes]float64, v, ls float64, out *[Lanes]float64) (bad int)
 func kernelRowsAsm(q [][Lanes]float64, x [][]float64, v, ls float64, alpha []float64, ks [][Lanes]float64, kAlpha *[Lanes]float64) (bad int)
 
 //go:noescape
-func forwardAsm(ld []float64, b, y [][Lanes]float64, yy *[Lanes]float64)
+func forwardAsm(ld []float64, y [][Lanes]float64, yy *[Lanes]float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

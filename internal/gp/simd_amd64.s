@@ -167,18 +167,18 @@ cov:
 	VZEROUPPER
 	RET
 
-// func forwardAsm(ld []float64, b, y [][Lanes]float64, yy *[Lanes]float64)
+// func forwardAsm(ld []float64, y [][Lanes]float64, yy *[Lanes]float64)
 //
-// Forward substitution L·y = b on four interleaved lanes, two rows of L
-// at a time: rows i and i+1 subtract l·y[k] for k < i in order, row i
-// divides by its diagonal, and row i+1 then subtracts its term in y[i]
-// and divides; the same term order as one row at a time. Each solved row
-// adds y·y into yy in row order.
-TEXT ·forwardAsm(SB), NOSPLIT, $0-80
+// Forward substitution L·y = b in place on four interleaved lanes (y
+// holds b on entry), two rows of L at a time: rows i and i+1 load their
+// b, subtract l·y[k] for k < i in order, row i divides by its diagonal,
+// and row i+1 then subtracts its term in y[i] and divides; the same term
+// order as one row at a time. Each solved row adds y·y into yy in row
+// order.
+TEXT ·forwardAsm(SB), NOSPLIT, $0-56
 	MOVQ   ld_base+0(FP), R10
-	MOVQ   b_base+24(FP), BX
-	MOVQ   b_len+32(FP), CX
-	MOVQ   y_base+48(FP), DI
+	MOVQ   y_base+24(FP), DI
+	MOVQ   y_len+32(FP), CX
 	MOVQ   CX, R12
 	SHLQ   $3, R12
 	VXORPD Y12, Y12, Y12
@@ -190,8 +190,8 @@ pair:
 	CMPQ    AX, CX
 	JGE     single
 	LEAQ    (R10)(R12*1), R11
-	VMOVUPD (BX), Y0
-	VMOVUPD 32(BX), Y1
+	VMOVUPD (R13), Y0
+	VMOVUPD 32(R13), Y1
 	MOVQ    DI, AX
 	XORQ    DX, DX
 	TESTQ   R8, R8
@@ -225,7 +225,6 @@ pairdiag:
 	VMULPD       Y1, Y1, Y5
 	VADDPD       Y5, Y12, Y12
 	ADDQ         $2, R8
-	ADDQ         $64, BX
 	ADDQ         $64, R13
 	LEAQ         (R11)(R12*1), R10
 	JMP          pair
@@ -233,7 +232,7 @@ pairdiag:
 single:
 	CMPQ    R8, CX
 	JGE     done
-	VMOVUPD (BX), Y0
+	VMOVUPD (R13), Y0
 	MOVQ    DI, AX
 	XORQ    DX, DX
 	TESTQ   R8, R8
@@ -257,7 +256,7 @@ singlediag:
 	VADDPD       Y5, Y12, Y12
 
 done:
-	MOVQ    yy+72(FP), AX
+	MOVQ    yy+48(FP), AX
 	VMOVUPD Y12, (AX)
 	VZEROUPPER
 	RET

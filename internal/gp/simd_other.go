@@ -14,6 +14,6 @@ func kernelRowsAsm([][Lanes]float64, [][]float64, float64, float64, []float64, [
 	panic("gp: no assembly kernel on this architecture")
 }
 
-func forwardAsm([]float64, [][Lanes]float64, [][Lanes]float64, *[Lanes]float64) {
+func forwardAsm([]float64, [][Lanes]float64, *[Lanes]float64) {
 	panic("gp: no assembly kernel on this architecture")
 }

@@ -50,16 +50,21 @@ func divisors(n int) []int {
 	return out
 }
 
-// splitTable is a split knob's value table: the ordered k-part factor
-// tuples and their log2 feature rows, k values per tuple back to back.
+// splitTable is a split knob's value table. factors holds the ordered
+// k-part factorizations of n back to back, k values per tuple. Their
+// features are log2 of the factors, kept as log2Div, log2 of each divisor
+// of n, and div, each factor's index among the divisors: feature p of
+// tuple i is log2Div[div[i*k+p]]. The flat layout and the 2-byte indices
+// keep a cached table smaller than one slice per tuple, even with the
+// features.
 type splitTable struct {
-	entries  [][]int
-	features []float64
+	factors []int
+	div     []uint16
+	log2Div []float64
 }
 
-// factorCache memoizes factorization tables and their feature rows, which
-// repeat heavily across tasks (channel counts like 64/128/256/512 recur in
-// every model).
+// factorCache memoizes split tables, which repeat heavily across tasks
+// (channel counts like 64/128/256/512 recur in every model).
 var factorCache sync.Map // map[[2]int]*splitTable
 
 func cachedSplitTable(n, k int) *splitTable {
@@ -67,11 +72,20 @@ func cachedSplitTable(n, k int) *splitTable {
 	if v, ok := factorCache.Load(key); ok {
 		return v.(*splitTable)
 	}
-	t := &splitTable{entries: factorizations(n, k)}
-	t.features = make([]float64, 0, len(t.entries)*k)
-	for _, entry := range t.entries {
-		for _, f := range entry {
-			t.features = append(t.features, math.Log2(float64(f)))
+	divs := divisors(n)
+	tuples := factorizations(n, k)
+	t := &splitTable{
+		factors: make([]int, 0, len(tuples)*k),
+		div:     make([]uint16, 0, len(tuples)*k),
+		log2Div: make([]float64, len(divs)),
+	}
+	for i, d := range divs {
+		t.log2Div[i] = math.Log2(float64(d))
+	}
+	for _, tuple := range tuples {
+		for _, f := range tuple {
+			t.factors = append(t.factors, f)
+			t.div = append(t.div, uint16(sort.SearchInts(divs, f)))
 		}
 	}
 	factorCache.Store(key, t)
@@ -81,5 +95,5 @@ func cachedSplitTable(n, k int) *splitTable {
 // countFactorizations returns the number of ordered k-part factorizations
 // of n without materializing them.
 func countFactorizations(n, k int) int {
-	return len(cachedSplitTable(n, k).entries)
+	return len(cachedSplitTable(n, k).factors) / k
 }

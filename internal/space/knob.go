@@ -62,17 +62,14 @@ type Knob struct {
 	Kind KnobKind
 
 	// Split knob fields.
-	Axis    int    // axis length being factorized
-	Parts   int    // number of ordered factors
-	Roles   []Role // role of each part, len == Parts
-	entries [][]int
+	Axis  int    // axis length being factorized
+	Parts int    // number of ordered factors
+	Roles []Role // role of each part, len == Parts
+	table *splitTable
 
 	// Categorical knob fields.
-	Options []int
-
-	// features holds the feature row of every local index back to back,
-	// FeatureLen values each, built once at construction.
-	features []float64
+	Options        []int
+	optionFeatures []float64 // log2(1+option), built at construction
 }
 
 // NewSplitKnob builds a split knob over an axis of the given length.
@@ -83,15 +80,13 @@ func NewSplitKnob(name string, axis int, roles []Role) Knob {
 	if len(roles) == 0 {
 		panic(fmt.Sprintf("space: split knob %q without roles", name))
 	}
-	t := cachedSplitTable(axis, len(roles))
 	return Knob{
-		Name:     name,
-		Kind:     KindSplit,
-		Axis:     axis,
-		Parts:    len(roles),
-		Roles:    roles,
-		entries:  t.entries,
-		features: t.features,
+		Name:  name,
+		Kind:  KindSplit,
+		Axis:  axis,
+		Parts: len(roles),
+		Roles: roles,
+		table: cachedSplitTable(axis, len(roles)),
 	}
 }
 
@@ -104,13 +99,13 @@ func NewCategoricalKnob(name string, options []int) Knob {
 	for i, o := range options {
 		features[i] = math.Log2(1 + float64(o))
 	}
-	return Knob{Name: name, Kind: KindCategorical, Options: options, features: features}
+	return Knob{Name: name, Kind: KindCategorical, Options: options, optionFeatures: features}
 }
 
 // Size returns the number of distinct values the knob can take.
 func (k *Knob) Size() int {
 	if k.Kind == KindSplit {
-		return len(k.entries)
+		return len(k.table.factors) / k.Parts
 	}
 	return len(k.Options)
 }
@@ -120,7 +115,8 @@ func (k *Knob) SplitValue(i int) []int {
 	if k.Kind != KindSplit {
 		panic(fmt.Sprintf("space: SplitValue on categorical knob %q", k.Name))
 	}
-	return k.entries[i]
+	p := k.Parts
+	return k.table.factors[i*p : (i+1)*p : (i+1)*p]
 }
 
 // CategoricalValue returns the option for local index i.
@@ -142,9 +138,15 @@ func (k *Knob) FeatureLen() int {
 
 // AppendFeatures appends the knob's features for local index i to dst.
 // Split parts are encoded as log2(factor); categorical values as
-// log2(1+option) to keep magnitudes comparable. The rows are computed at
-// construction, so this only copies.
+// log2(1+option) to keep magnitudes comparable. The logarithms are
+// computed when the knob is built, so this only looks them up.
 func (k *Knob) AppendFeatures(dst []float64, i int) []float64 {
-	w := k.FeatureLen()
-	return append(dst, k.features[i*w:(i+1)*w]...)
+	if k.Kind == KindSplit {
+		p := k.Parts
+		for _, d := range k.table.div[i*p : (i+1)*p] {
+			dst = append(dst, k.table.log2Div[d])
+		}
+		return dst
+	}
+	return append(dst, k.optionFeatures[i])
 }

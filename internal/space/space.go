@@ -187,10 +187,8 @@ func (s *Space) Signature() string {
 			for _, r := range k.Roles {
 				word(int64(r))
 			}
-			for _, entry := range k.entries {
-				for _, f := range entry {
-					word(int64(f))
-				}
+			for _, f := range k.table.factors {
+				word(int64(f))
 			}
 		} else {
 			for _, opt := range k.Options {
