@@ -62,10 +62,11 @@ type Knob struct {
 	Kind KnobKind
 
 	// Split knob fields.
-	Axis  int    // axis length being factorized
-	Parts int    // number of ordered factors
-	Roles []Role // role of each part, len == Parts
-	table *splitTable
+	Axis   int    // axis length being factorized
+	Parts  int    // number of ordered factors
+	Roles  []Role // role of each part, len == Parts
+	table  *splitTable
+	tuples int // factor tuples in table, the knob's size
 
 	// Categorical knob fields.
 	Options        []int
@@ -80,13 +81,15 @@ func NewSplitKnob(name string, axis int, roles []Role) Knob {
 	if len(roles) == 0 {
 		panic(fmt.Sprintf("space: split knob %q without roles", name))
 	}
+	t := cachedSplitTable(axis, len(roles))
 	return Knob{
-		Name:  name,
-		Kind:  KindSplit,
-		Axis:  axis,
-		Parts: len(roles),
-		Roles: roles,
-		table: cachedSplitTable(axis, len(roles)),
+		Name:   name,
+		Kind:   KindSplit,
+		Axis:   axis,
+		Parts:  len(roles),
+		Roles:  roles,
+		table:  t,
+		tuples: len(t.factors) / len(roles),
 	}
 }
 
@@ -105,7 +108,7 @@ func NewCategoricalKnob(name string, options []int) Knob {
 // Size returns the number of distinct values the knob can take.
 func (k *Knob) Size() int {
 	if k.Kind == KindSplit {
-		return len(k.table.factors) / k.Parts
+		return k.tuples
 	}
 	return len(k.Options)
 }
