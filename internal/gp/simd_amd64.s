@@ -5,8 +5,8 @@
 // the Go compiler emits separate MULSD and ADDSD, and fused ones only
 // where math.Exp's own assembly (math/exp_amd64.s, FMA path) fuses. The
 // exp below is that routine's normal path; lanes whose argument leaves
-// [−700, 700] (or is NaN) are reported, and the caller recomputes them in
-// Go. See simd.go for when this kernel runs.
+// [−700, 700] (or is NaN) are reported, and the caller then redoes the
+// pass in Go. See simd.go for when this kernel runs.
 
 #include "textflag.h"
 

@@ -51,12 +51,11 @@ func divisors(n int) []int {
 }
 
 // splitTable is a split knob's value table. factors holds the ordered
-// k-part factorizations of n back to back, k values per tuple. Their
-// features are log2 of the factors, kept as log2Div, log2 of each divisor
-// of n, and div, each factor's index among the divisors: feature p of
-// tuple i is log2Div[div[i*k+p]]. The flat layout and the 2-byte indices
-// keep a cached table smaller than one slice per tuple, even with the
-// features.
+// k-part factorizations of n back to back, k values per tuple. A factor's
+// feature is its log2: log2Div holds log2 of each divisor of n, and div
+// each factor's index among those divisors, so feature p of tuple i is
+// log2Div[div[i*k+p]]. The flat layout and 2-byte indices keep a cached
+// table, features included, smaller than one slice per tuple.
 type splitTable struct {
 	factors []int
 	div     []uint16

@@ -30,8 +30,8 @@ func refNeighbor(s *Space, idx int64, g *rng.RNG) int64 {
 }
 
 // refFeatures is a frozen copy of Features as it was before the knobs
-// kept their feature rows: log2 of each split factor, log2(1+option) of
-// each categorical value, computed per call.
+// looked their logarithms up: log2 of each split factor and
+// log2(1+option) of each categorical value, computed per call.
 func refFeatures(s *Space, cfg Config) []float64 {
 	var out []float64
 	for i := range s.Knobs {
