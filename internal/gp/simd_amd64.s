@@ -114,8 +114,8 @@ TEXT ·covAsm(SB), NOSPLIT, $0-40
 // For each training row x[i]: the four lanes' squared distances to it,
 // e = q − x; d2 += e·e over the features in order; their covariances into
 // ks row i; and k·α += cov·α[i]. bad has bit l set if lane l left the
-// exp range in any row. len(x) must be at least 1, and every row must
-// hold len(q) values.
+// exp range in any row, and all bits if a row holds fewer than len(q)
+// values (the Go pass then reports it). len(x) must be at least 1.
 TEXT ·kernelRowsAsm(SB), NOSPLIT, $0-128
 	MOVQ         q_base+0(FP), SI
 	MOVQ         q_len+8(FP), DX
@@ -129,6 +129,8 @@ TEXT ·kernelRowsAsm(SB), NOSPLIT, $0-128
 	VPCMPEQQ     Y13, Y13, Y13
 
 row:
+	CMPQ   8(R8), DX
+	JLT    short
 	MOVQ   (R8), R10
 	MOVQ   SI, R11
 	MOVQ   DX, CX
@@ -164,6 +166,11 @@ cov:
 	VMOVMSKPD Y13, AX
 	XORQ      $15, AX
 	MOVQ      AX, bad+120(FP)
+	VZEROUPPER
+	RET
+
+short:
+	MOVQ $15, bad+120(FP)
 	VZEROUPPER
 	RET
 

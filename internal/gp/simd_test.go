@@ -153,3 +153,26 @@ func TestPredictLanesOutOfRange(t *testing.T) {
 		}
 	})
 }
+
+// TestPredictLanesShortTrainingRow replaces a training row with a shorter
+// one after the fit, through the caller's slice the regressor shares: a
+// four-lane call must panic, as the Go pass does on its bounds check,
+// rather than let the kernel read past the row.
+func TestPredictLanesShortTrainingRow(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		x, y := oracleProblem(rng.New(5), 12, 3)
+		r, err := FitWithGridSearch(x, y, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := [][]float64{{1, 2, 3}, {2, 3, 4}}
+		x[7] = []float64{1}
+		defer func() {
+			if recover() == nil {
+				t.Fatal("no panic on a training row shorter than the queries")
+			}
+		}()
+		var mean, variance [Lanes]float64
+		r.PredictLanes(q, mean[:], variance[:], &Scratch{})
+	})
+}
