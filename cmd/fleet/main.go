@@ -23,15 +23,15 @@
 // -debug-addr serves net/http/pprof plus /telemetryz for live introspection
 // of a long fleet run.
 //
-// With -endpoints N > 0 the run goes through the sharded fleet scheduler
-// over N simulated measurement endpoints: targets are grouped into
+// Every run goes through the fleet scheduler: targets are grouped into
 // -shards Blueprint-affinity shards, -steal lets idle shards take queued
 // tasks and borrow endpoints, and -speculate re-issues straggling
-// measurement chunks. -chaos injects a deterministic churn schedule (see
-// internal/faults) into a -chaos-frac fraction of the endpoints — the
-// best-found plans are identical to a fault-free run by construction.
-// With -endpoints 0 (default) the original one-device-per-GPU flat path
-// runs.
+// measurement chunks. With -endpoints 0 (default) the pool is one
+// in-process simulator per target GPU. With -endpoints N > 0 it is N
+// simulated endpoints that each host every target, and -chaos injects a
+// deterministic churn schedule (see internal/faults) into a -chaos-frac
+// fraction of them. The best-found plans are the same for every pool and
+// every chaos schedule by construction.
 //
 // With -tuner glimpse, offline artifacts are trained per target (cached
 // under -artifacts if given). Other tuners: autotvm, chameleon, random.
@@ -80,7 +80,7 @@ func main() {
 	retries := flag.Int("retries", 3, "measurement attempts per batch before giving up")
 	batchTimeout := flag.Duration("batch-timeout", 30*time.Second, "deadline per measurement batch")
 	workers := flag.Int("workers", runtime.NumCPU(), "goroutines for search and scoring (results are identical for any value)")
-	endpoints := flag.Int("endpoints", 0, "simulated measurement endpoints for the sharded scheduler (0: legacy flat path)")
+	endpoints := flag.Int("endpoints", 0, "simulated measurement endpoints hosting every target (0: one in-process endpoint per target GPU)")
 	shards := flag.Int("shards", 0, "device-group shards by Blueprint affinity (0: one shard per target GPU)")
 	steal := flag.Bool("steal", true, "steal queued tasks and borrow endpoints across shards")
 	speculate := flag.Bool("speculate", true, "re-issue straggling measurement chunks speculatively")
@@ -168,22 +168,6 @@ func main() {
 		Budget:          tuner.Budget{MaxMeasurements: *budget, Patience: 4, Epsilon: 0.01},
 		GenerateKernels: *kernels,
 		Tracer:          tracer,
-		NewMeasurer: func(gpu string) (measure.Measurer, error) {
-			local, err := measure.NewLocal(gpu)
-			if err != nil {
-				return nil, err
-			}
-			return measure.NewReliable(measure.ReliableConfig{
-				MaxAttempts:  *retries,
-				BatchTimeout: *batchTimeout,
-				Seed:         *seed,
-				EventSink: func(e measure.Event) {
-					tracer.Event(telemetry.StageMeasure, map[string]any{
-						"event": e.Kind, "backend": e.Backend, "task": e.Task, "detail": e.Detail,
-					})
-				},
-			}, local)
-		},
 		NewTuner: func(task workload.Task, gpu string) (tuner.Tuner, error) {
 			switch *tunerName {
 			case "glimpse":
@@ -239,15 +223,14 @@ func main() {
 		cfg.Checkpoint = ck
 	}
 
-	var plans []*fleet.Plan
-	var err error
+	var eps []fleet.Endpoint
 	if *endpoints > 0 {
-		scenario, serr := faults.ScenarioByName(*chaos, *chaosSeed, *endpoints, *chaosFrac, 0)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", serr)
+		scenario, err := faults.ScenarioByName(*chaos, *chaosSeed, *endpoints, *chaosFrac, 0)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "fleet:", err)
 			os.Exit(1)
 		}
-		eps := make([]fleet.Endpoint, *endpoints)
+		eps = make([]fleet.Endpoint, *endpoints)
 		for i := range eps {
 			i := i
 			eps[i] = fleet.Endpoint{
@@ -261,44 +244,55 @@ func main() {
 				},
 			}
 		}
-		sched, serr := fleet.NewScheduler(fleet.SchedulerConfig{
-			Shards:    *shards,
-			Steal:     *steal,
-			Speculate: *speculate,
-			Reliable: measure.ReliableConfig{
-				MaxAttempts:  *retries,
-				BatchTimeout: *batchTimeout,
-				Seed:         *seed,
-				EventSink: func(e measure.Event) {
-					tracer.Event(telemetry.StageMeasure, map[string]any{
-						"event": e.Kind, "backend": e.Backend, "task": e.Task, "detail": e.Detail,
-					})
-				},
-			},
-		}, eps)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", serr)
-			os.Exit(1)
-		}
 		if *chaos != "none" {
 			fmt.Fprintf(os.Stderr, "fleet: chaos %q (seed %d, frac %.2f) on %d endpoints\n",
 				*chaos, *chaosSeed, *chaosFrac, *endpoints)
 		}
-		plans, err = sched.Run(cfg, targets, g.Split("fleet"))
-		if err == nil {
-			st := sched.Stats()
-			fmt.Fprintf(os.Stderr,
-				"fleet: scheduler: %d tasks (%d stolen), %d chunks (%d retried), %d endpoint steals, %d speculations (%d won)\n",
-				st.TasksDone, st.TasksStolen, st.Chunks, st.ChunkRetries,
-				st.EndpointSteals, st.Speculations, st.SpeculativeWins)
-		}
 	} else {
-		plans, err = fleet.TuneFleet(cfg, targets, g.Split("fleet"))
+		// Build each target's simulator up front, so an unknown GPU name
+		// is a configuration error rather than a plan of failed tasks.
+		for _, gpu := range targets {
+			local, err := measure.NewLocal(gpu)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "fleet:", err)
+				os.Exit(1)
+			}
+			eps = append(eps, fleet.Endpoint{
+				Name:  gpu,
+				Hosts: []string{gpu},
+				Dial:  func(string) (measure.Measurer, error) { return local, nil },
+			})
+		}
 	}
+	sched, err := fleet.NewScheduler(fleet.SchedulerConfig{
+		Shards:    *shards,
+		Steal:     *steal,
+		Speculate: *speculate,
+		Reliable: measure.ReliableConfig{
+			MaxAttempts:  *retries,
+			BatchTimeout: *batchTimeout,
+			Seed:         *seed,
+			EventSink: func(e measure.Event) {
+				tracer.Event(telemetry.StageMeasure, map[string]any{
+					"event": e.Kind, "backend": e.Backend, "task": e.Task, "detail": e.Detail,
+				})
+			},
+		},
+	}, eps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleet:", err)
 		os.Exit(1)
 	}
+	plans, err := sched.Run(cfg, targets, g.Split("fleet"))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fleet:", err)
+		os.Exit(1)
+	}
+	st := sched.Stats()
+	fmt.Fprintf(os.Stderr,
+		"fleet: scheduler: %d tasks (%d stolen), %d chunks (%d retried), %d endpoint steals, %d speculations (%d won)\n",
+		st.TasksDone, st.TasksStolen, st.Chunks, st.ChunkRetries,
+		st.EndpointSteals, st.Speculations, st.SpeculativeWins)
 
 	table := metrics.NewTable(
 		fmt.Sprintf("Deployment plans: %s via %s (%d measurements/task)", *model, *tunerName, *budget),

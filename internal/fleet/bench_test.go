@@ -12,13 +12,12 @@ import (
 	"github.com/neuralcompile/glimpse/internal/workload"
 )
 
-// The fleet benchmark pits the flat fan-out baseline against the sharded
-// scheduler on the scenario the paper prices: every resnet-18 task on
-// every registry GPU over 200 simulated endpoints, 10% of which flap with
-// multi-hundred-millisecond outages. Flat sessions are pinned to one
-// endpoint each and must ride out its outages with patient retries; the
-// sharded path reroutes, steals, sizes chunks adaptively, and twins
-// stragglers. Compare the meas/s metric between the two entries in
+// The fleet benchmark runs the scheduler on the scenario the paper
+// prices: every resnet-18 task on every registry GPU over 200 simulated
+// endpoints, 10% of which flap with multi-hundred-millisecond outages.
+// The one-shard entry turns sharding, task stealing and speculation off;
+// the sharded entry turns them on. Both reroute failed chunks and size
+// chunks adaptively. Compare the meas/s metric between the two entries in
 // BENCH_fleet.json.
 const benchEndpoints = 200
 
@@ -79,17 +78,16 @@ func runFleetBench(b *testing.B, sc SchedulerConfig) {
 	}
 }
 
-// BenchmarkFleetFlat pins each (gpu, task) session to one hashed endpoint
-// and sends whole batches, retrying patiently through outages — the
-// pre-scheduler behaviour.
-func BenchmarkFleetFlat(b *testing.B) {
+// BenchmarkFleetOneShard runs the sharded entry's 16 concurrent sessions
+// in one shard with task stealing and speculation off: every endpoint is
+// home to the one shard, so failed chunks still reroute, but stragglers
+// are waited out.
+func BenchmarkFleetOneShard(b *testing.B) {
 	runFleetBench(b, SchedulerConfig{
-		Flat:             true,
-		SessionsPerShard: 4,
+		Shards:           1,
+		SessionsPerShard: 16,
 		Reliable: measure.ReliableConfig{
-			MaxAttempts: 12, BackoffBase: 20 * time.Millisecond, BackoffMax: 80 * time.Millisecond,
-			BreakerThreshold: 1 << 20, // no alternatives to fail over to: keep trying
-			Seed:             1,
+			MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond, Seed: 1,
 		},
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/neuralcompile/glimpse/internal/cache"
 	"github.com/neuralcompile/glimpse/internal/hwspec"
 	"github.com/neuralcompile/glimpse/internal/measure"
-	"github.com/neuralcompile/glimpse/internal/rng"
 	"github.com/neuralcompile/glimpse/internal/tuner"
 	"github.com/neuralcompile/glimpse/internal/workload"
 )
@@ -34,7 +33,7 @@ func TestTuneModelCacheExactHit(t *testing.T) {
 	}
 	m := measure.MustNewLocal(hwspec.TitanXp)
 
-	cold, err := TuneModel(cfg, m, rng.New(1))
+	cold, err := tuneOn(cfg, SchedulerConfig{}, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestTuneModelCacheExactHit(t *testing.T) {
 
 	// Same model, same device: every task is an exact hit — zero
 	// measurements, identical configs.
-	hit, err := TuneModel(cfg, m, rng.New(999))
+	hit, err := tuneOn(cfg, SchedulerConfig{}, m, 999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestTuneModelWarmStartsFromDonorDevice(t *testing.T) {
 		Cache:    store,
 	}
 	// Donor pass on a neighboring SKU populates the store.
-	if _, err := TuneModel(base, measure.MustNewLocal("rtx-2080-ti"), rng.New(1)); err != nil {
+	if _, err := tuneOn(base, SchedulerConfig{}, measure.MustNewLocal("rtx-2080-ti"), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -102,7 +101,7 @@ func TestTuneModelWarmStartsFromDonorDevice(t *testing.T) {
 	cfg.NewTuner = func(task workload.Task, gpu string) (tuner.Tuner, error) {
 		return &warmRandom{Random: tuner.Random{BatchSize: 16}, mu: &mu, seen: &seen}, nil
 	}
-	plan, err := TuneModel(cfg, measure.MustNewLocal(hwspec.TitanXp), rng.New(2))
+	plan, err := tuneOn(cfg, SchedulerConfig{}, measure.MustNewLocal(hwspec.TitanXp), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

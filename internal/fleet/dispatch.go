@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"time"
 
@@ -65,57 +64,6 @@ type attemptDone struct {
 	err  error
 	wall time.Duration
 	twin bool
-}
-
-func (d *dispatcher) MeasureBatch(task workload.Task, sp *space.Space, idxs []int64) ([]gpusim.Result, error) {
-	if d.s.sc.Flat {
-		return d.measureFlat(task, sp, idxs)
-	}
-	return d.measureSharded(task, sp, idxs)
-}
-
-// measureFlat is the no-resilience baseline: the whole batch goes to one
-// endpoint picked by hashing the (gpu, task) pair over the hosting
-// endpoints, waiting for it to go idle. One slow or dead endpoint stalls
-// every session pinned to it — exactly the failure mode the sharded path
-// exists to remove.
-func (d *dispatcher) measureFlat(task workload.Task, sp *space.Space, idxs []int64) ([]gpusim.Result, error) {
-	var hosting []*slot
-	for _, sl := range d.s.slots {
-		if sl.ep.HostsGPU(d.gpu) {
-			hosting = append(hosting, sl)
-		}
-	}
-	if len(hosting) == 0 {
-		return nil, fmt.Errorf("fleet: no endpoint hosts %s", d.gpu)
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%s", d.gpu, d.task)
-	sl := hosting[int(h.Sum64()%uint64(len(hosting)))]
-	for !sl.tryAcquire() {
-		wait := d.s.releaseWait()
-		select {
-		case <-wait:
-		case <-time.After(time.Millisecond):
-		}
-	}
-	defer func() {
-		sl.release()
-		d.s.notifyRelease()
-	}()
-	conn, err := sl.conn(d.gpu, d.s.sc.Reliable)
-	if err != nil {
-		return nil, err
-	}
-	measure.BindTrace(conn, d.trace)
-	start := time.Now()
-	res, err := conn.MeasureBatch(task, sp, idxs)
-	if err != nil {
-		sl.observeFailure()
-		return nil, err
-	}
-	sl.observe(len(idxs), time.Since(start))
-	return res, nil
 }
 
 // lease picks an endpoint for the gpu: idle, breaker-ready, hosting the
@@ -205,14 +153,14 @@ func (d *dispatcher) launch(ck *chunk, sl *slot, twin bool, sc telemetry.SpanCon
 			measure.BindTrace(conn, sc)
 			res, err = conn.MeasureBatchContext(actx, task, sp, idxs[ck.lo:ck.hi])
 		}
-		//glint:ignore ctxflow -- events is buffered past max in-flight (see measureSharded), so this send never blocks
+		//glint:ignore ctxflow -- events is buffered past max in-flight (see MeasureBatch), so this send never blocks
 		events <- attemptDone{ck: ck, sl: sl, res: res, err: err, wall: time.Since(start), twin: twin}
 	}()
 }
 
-// measureSharded runs the chunked event loop. Chunks are cut lazily at
+// MeasureBatch runs the chunked event loop. Chunks are cut lazily at
 // lease time so each endpoint gets a slice sized to its observed speed.
-func (d *dispatcher) measureSharded(task workload.Task, sp *space.Space, idxs []int64) ([]gpusim.Result, error) {
+func (d *dispatcher) MeasureBatch(task workload.Task, sp *space.Space, idxs []int64) ([]gpusim.Result, error) {
 	dsp, dsc := d.tracer.StartSpan(d.trace, telemetry.StageDispatch)
 	dsp.SetAttr("gpu", d.gpu)
 	dsp.SetAttr("task", d.task)

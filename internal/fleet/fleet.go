@@ -1,16 +1,15 @@
 // Package fleet orchestrates whole-model, multi-GPU tuning — the
 // deployment scenario that motivates the paper (§1 prices "10 DNN models
-// on 100 different GPUs" at ~10,000 GPU hours). It tunes every task of a
-// model concurrently, assembles a deployment Plan (best configuration,
-// kernel source, and end-to-end latency per device), and fans out across
-// a GPU fleet.
+// on 100 different GPUs" at ~10,000 GPU hours). Scheduler.Run tunes every
+// task of a model on every target GPU concurrently over a pool of
+// measurement endpoints and assembles one deployment Plan (best
+// configuration, kernel source, and end-to-end latency) per device.
 package fleet
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 
 	"github.com/neuralcompile/glimpse/internal/cache"
 	"github.com/neuralcompile/glimpse/internal/codegen"
@@ -90,18 +89,10 @@ type Config struct {
 	Tasks []workload.Task
 	// Budget per task.
 	Budget tuner.Budget
-	// Parallelism is the number of tasks tuned concurrently per device
-	// (default 2 — real boards serialize measurements, but compilation and
-	// search overlap).
-	Parallelism int
 	// NewTuner builds the tuner for one (task, gpu) pair.
 	NewTuner func(task workload.Task, gpu string) (tuner.Tuner, error)
 	// GenerateKernels embeds generated kernel source in the plan.
 	GenerateKernels bool
-	// NewMeasurer overrides how TuneFleet builds each GPU's measurer
-	// (default measure.NewLocal) — the hook for reliability wrappers and
-	// fault injection.
-	NewMeasurer func(gpu string) (measure.Measurer, error)
 	// Checkpoint, when set, records each completed task and lets a
 	// resumed session skip tasks already recorded for (model, gpu).
 	Checkpoint *Checkpoint
@@ -136,9 +127,6 @@ func (c *Config) resolve() error {
 			return err
 		}
 		c.Tasks = tasks
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 2
 	}
 	if c.WarmK <= 0 {
 		c.WarmK = 3
@@ -337,49 +325,6 @@ func assemblePlan(model, gpu string, tasks []workload.Task, tps []TaskPlan) *Pla
 	return plan
 }
 
-// TuneModel tunes every configured task of the model on one device and
-// assembles the deployment plan. Per-task randomness is derived from the
-// task name, so results do not depend on goroutine scheduling.
-//
-// Per-task failures (device crash, exhausted retries, no valid
-// configuration, codegen errors) do not abort the session: the failed task
-// is recorded in the plan with Failed set and tuning of the other tasks
-// continues, so nine hours of completed measurements survive one dead
-// board. Only configuration errors and checkpoint I/O failures return an
-// error.
-func TuneModel(cfg Config, m measure.Measurer, g *rng.RNG) (*Plan, error) {
-	if err := cfg.resolve(); err != nil {
-		return nil, err
-	}
-	type outcome struct {
-		tp  TaskPlan
-		err error // fatal (checkpoint I/O), not a task failure
-	}
-	sem := make(chan struct{}, cfg.Parallelism)
-	results := make([]outcome, len(cfg.Tasks))
-	var wg sync.WaitGroup
-	for i, task := range cfg.Tasks {
-		wg.Add(1)
-		go func(i int, task workload.Task) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			tp, err := runTask(&cfg, m, task, g)
-			results[i] = outcome{tp: tp, err: err}
-		}(i, task)
-	}
-	wg.Wait()
-
-	tps := make([]TaskPlan, 0, len(results))
-	for _, o := range results {
-		if o.err != nil {
-			return nil, o.err
-		}
-		tps = append(tps, o.tp)
-	}
-	return assemblePlan(cfg.Model, m.DeviceName(), cfg.Tasks, tps), nil
-}
-
 // assembleLatency sums per-layer kernel times, picking the faster of the
 // direct and winograd variants for each convolution shape.
 func assembleLatency(tasks []workload.Task, plans []TaskPlan) float64 {
@@ -419,41 +364,6 @@ func assembleLatency(tasks []workload.Task, plans []TaskPlan) float64 {
 		total += bestConv[shape] * float64(repeats[shape])
 	}
 	return total
-}
-
-// TuneFleet tunes the model on every named GPU concurrently (one in-
-// process simulated device each unless Config.NewMeasurer overrides) and
-// returns the plans in input order. A GPU whose tuning degrades mid-run
-// yields a partial plan (see TuneModel) without affecting the other
-// devices; only configuration errors — an unknown GPU name, a measurer
-// that cannot be built — abort the fleet.
-func TuneFleet(cfg Config, gpus []string, g *rng.RNG) ([]*Plan, error) {
-	newMeasurer := cfg.NewMeasurer
-	if newMeasurer == nil {
-		newMeasurer = func(gpu string) (measure.Measurer, error) { return measure.NewLocal(gpu) }
-	}
-	plans := make([]*Plan, len(gpus))
-	errs := make([]error, len(gpus))
-	var wg sync.WaitGroup
-	for i, gpu := range gpus {
-		wg.Add(1)
-		go func(i int, gpu string) {
-			defer wg.Done()
-			m, err := newMeasurer(gpu)
-			if err != nil {
-				errs[i] = fmt.Errorf("fleet: measurer for %s: %w", gpu, err)
-				return
-			}
-			plans[i], errs[i] = TuneModel(cfg, m, g.Split("device/"+gpu))
-		}(i, gpu)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plans, nil
 }
 
 // Save writes the plan as JSON.

@@ -30,6 +30,30 @@ func randomTunerFactory(task workload.Task, gpu string) (tuner.Tuner, error) {
 	return tuner.Random{BatchSize: 16}, nil
 }
 
+// deviceEndpoint hosts only m's device and dials m: the one-endpoint-per-
+// GPU layout cmd/fleet runs by default.
+func deviceEndpoint(m measure.Measurer) Endpoint {
+	return Endpoint{
+		Name:  m.DeviceName(),
+		Hosts: []string{m.DeviceName()},
+		Dial:  func(string) (measure.Measurer, error) { return m, nil },
+	}
+}
+
+// tuneOn tunes cfg on m's device through a scheduler whose only endpoint
+// is m, and returns that device's plan.
+func tuneOn(cfg Config, sc SchedulerConfig, m measure.Measurer, seed int64) (*Plan, error) {
+	s, err := NewScheduler(sc, []Endpoint{deviceEndpoint(m)})
+	if err != nil {
+		return nil, err
+	}
+	plans, err := s.Run(cfg, []string{m.DeviceName()}, rng.New(seed))
+	if err != nil {
+		return nil, err
+	}
+	return plans[0], nil
+}
+
 func TestTuneModelAssemblesPlan(t *testing.T) {
 	cfg := Config{
 		Model:           workload.ResNet18,
@@ -39,7 +63,7 @@ func TestTuneModelAssemblesPlan(t *testing.T) {
 		GenerateKernels: true,
 	}
 	m := measure.MustNewLocal(hwspec.TitanXp)
-	plan, err := TuneModel(cfg, m, rng.New(1))
+	plan, err := tuneOn(cfg, SchedulerConfig{}, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +115,17 @@ func TestTuneModelAssemblesPlan(t *testing.T) {
 
 func TestTuneModelDeterministicDespiteParallelism(t *testing.T) {
 	cfg := Config{
-		Model:       workload.AlexNet,
-		Tasks:       subset(t, workload.AlexNet, 3, 10),
-		Budget:      tuner.Budget{MaxMeasurements: 32},
-		NewTuner:    randomTunerFactory,
-		Parallelism: 4,
+		Model:    workload.AlexNet,
+		Tasks:    subset(t, workload.AlexNet, 3, 10),
+		Budget:   tuner.Budget{MaxMeasurements: 32},
+		NewTuner: randomTunerFactory,
 	}
 	m := measure.MustNewLocal(hwspec.RTX3090)
-	a, err := TuneModel(cfg, m, rng.New(7))
+	a, err := tuneOn(cfg, SchedulerConfig{SessionsPerShard: 4}, m, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallelism = 1
-	b, err := TuneModel(cfg, m, rng.New(7))
+	b, err := tuneOn(cfg, SchedulerConfig{SessionsPerShard: 1}, m, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +141,10 @@ func TestTuneModelDeterministicDespiteParallelism(t *testing.T) {
 
 func TestTuneModelValidation(t *testing.T) {
 	m := measure.MustNewLocal(hwspec.TitanXp)
-	if _, err := TuneModel(Config{Model: workload.AlexNet}, m, rng.New(1)); err == nil {
+	if _, err := tuneOn(Config{Model: workload.AlexNet}, SchedulerConfig{}, m, 1); err == nil {
 		t.Fatal("missing NewTuner accepted")
 	}
-	if _, err := TuneModel(Config{Model: "lenet", NewTuner: randomTunerFactory}, m, rng.New(1)); err == nil {
+	if _, err := tuneOn(Config{Model: "lenet", NewTuner: randomTunerFactory}, SchedulerConfig{}, m, 1); err == nil {
 		t.Fatal("unknown model accepted")
 	}
 }
@@ -135,7 +157,14 @@ func TestTuneFleetAcrossGPUs(t *testing.T) {
 		NewTuner: randomTunerFactory,
 	}
 	gpus := []string{hwspec.TitanXp, hwspec.RTX3090}
-	plans, err := TuneFleet(cfg, gpus, rng.New(9))
+	s, err := NewScheduler(SchedulerConfig{}, []Endpoint{
+		deviceEndpoint(measure.MustNewLocal(hwspec.TitanXp)),
+		deviceEndpoint(measure.MustNewLocal(hwspec.RTX3090)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := s.Run(cfg, gpus, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +181,7 @@ func TestTuneFleetAcrossGPUs(t *testing.T) {
 		t.Fatalf("rtx-3090 latency %g not better than titan-xp %g",
 			plans[1].LatencyMS, plans[0].LatencyMS)
 	}
-	if _, err := TuneFleet(cfg, []string{"bogus-gpu"}, rng.New(9)); err == nil {
+	if _, err := s.Run(cfg, []string{"bogus-gpu"}, rng.New(9)); err == nil {
 		t.Fatal("unknown GPU accepted")
 	}
 }
@@ -164,8 +193,7 @@ func TestPlanSaveLoad(t *testing.T) {
 		Budget:   tuner.Budget{MaxMeasurements: 16},
 		NewTuner: randomTunerFactory,
 	}
-	m := measure.MustNewLocal(hwspec.TitanXp)
-	plan, err := TuneModel(cfg, m, rng.New(3))
+	plan, err := tuneOn(cfg, SchedulerConfig{}, measure.MustNewLocal(hwspec.TitanXp), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,6 +60,15 @@ func taskName(t *testing.T, model string, index int) string {
 	return task.Name()
 }
 
+// crashPolicy is the scheduler setting of the device-crash tests. The
+// dispatcher owns retries, so each endpoint attempt fails at once, and
+// the endpoint's breaker never opens, so one task's dead device does not
+// block the device's other tasks (breaker dynamics are covered by
+// measure's own tests and the scheduler's chaos tests).
+func crashPolicy() SchedulerConfig {
+	return SchedulerConfig{Reliable: measure.ReliableConfig{MaxAttempts: 1, BreakerThreshold: 1 << 20, Seed: 1}}
+}
+
 func TestTuneModelPartialPlanOnDeviceCrash(t *testing.T) {
 	crash := taskName(t, workload.ResNet18, 17)
 	cfg := Config{
@@ -70,7 +79,7 @@ func TestTuneModelPartialPlanOnDeviceCrash(t *testing.T) {
 	}
 	inj := faults.New(measure.MustNewLocal(hwspec.TitanXp),
 		faults.Config{Seed: 1, CrashAfterCalls: 1, CrashTasks: map[string]bool{crash: true}})
-	plan, err := TuneModel(cfg, inj, rng.New(1))
+	plan, err := tuneOn(cfg, crashPolicy(), inj, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +135,25 @@ func TestTuneFleetSurvivesFaultyDeviceDeterministically(t *testing.T) {
 	crashTask := taskName(t, workload.ResNet18, 17)
 	run := func() []*Plan {
 		cfg := Config{
-			Model:       workload.ResNet18,
-			Tasks:       subset(t, workload.ResNet18, 2, 13, 17),
-			Budget:      tuner.Budget{MaxMeasurements: 48},
-			NewTuner:    randomTunerFactory,
-			NewMeasurer: faultyFleetMeasurer(hwspec.RTX2080Ti, crashTask, 99),
+			Model:    workload.ResNet18,
+			Tasks:    subset(t, workload.ResNet18, 2, 13, 17),
+			Budget:   tuner.Budget{MaxMeasurements: 48},
+			NewTuner: randomTunerFactory,
 		}
-		plans, err := TuneFleet(cfg, gpus, rng.New(5))
+		newMeasurer := faultyFleetMeasurer(hwspec.RTX2080Ti, crashTask, 99)
+		var eps []Endpoint
+		for _, gpu := range gpus {
+			m, err := newMeasurer(gpu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps = append(eps, deviceEndpoint(m))
+		}
+		s, err := NewScheduler(crashPolicy(), eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, err := s.Run(cfg, gpus, rng.New(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +213,7 @@ func TestFleetResumeRemeasuresOnlyFailedTasks(t *testing.T) {
 	cfg.Checkpoint = ck
 	inj := faults.New(measure.MustNewLocal(hwspec.TitanXp),
 		faults.Config{Seed: 1, CrashAfterCalls: 1, CrashTasks: map[string]bool{crash: true}})
-	plan1, err := TuneModel(cfg, inj, rng.New(1))
+	plan1, err := tuneOn(cfg, crashPolicy(), inj, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +233,7 @@ func TestFleetResumeRemeasuresOnlyFailedTasks(t *testing.T) {
 	defer ck2.Close()
 	cfg.Checkpoint = ck2
 	counting := newCounting(measure.MustNewLocal(hwspec.TitanXp))
-	plan2, err := TuneModel(cfg, counting, rng.New(1))
+	plan2, err := tuneOn(cfg, crashPolicy(), counting, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +275,7 @@ func TestFleetResumeRemeasuresOnlyFailedTasks(t *testing.T) {
 	defer ck3.Close()
 	cfg.Checkpoint = ck3
 	counting3 := newCounting(measure.MustNewLocal(hwspec.TitanXp))
-	plan3, err := TuneModel(cfg, counting3, rng.New(1))
+	plan3, err := tuneOn(cfg, crashPolicy(), counting3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,10 +49,6 @@ type SchedulerConfig struct {
 	// Reliable is the per-endpoint fault policy template; every dialed
 	// connection is wrapped in a measure.Reliable built from it.
 	Reliable measure.ReliableConfig
-	// Flat bypasses sharding, stealing, adaptive batching and
-	// speculation: each (gpu, task) session pins one endpoint by hash and
-	// sends whole batches — the flat fan-out baseline.
-	Flat bool
 }
 
 func (c *SchedulerConfig) resolve() {
@@ -88,16 +84,20 @@ type SchedulerStats struct {
 	SpeculativeWins int // chunks whose twin finished first
 }
 
-// Scheduler drives tuning sessions for many (gpu, task) units over a pool
-// of measurement endpoints: targets are sharded by Blueprint affinity,
-// idle shards steal queued tasks, dispatchers lease endpoints per chunk
-// with adaptive sizing, and stragglers are speculatively re-issued.
+// Scheduler is the fleet orchestrator: it drives tuning sessions for many
+// (gpu, task) units over a pool of measurement endpoints. Targets are
+// sharded by Blueprint affinity, idle shards steal queued tasks,
+// dispatchers lease endpoints per chunk with adaptive sizing, and
+// stragglers are speculatively re-issued. A single machine tuning its
+// own GPUs is the pool of one in-process endpoint per target.
 //
 // Result determinism: tuning randomness is split per (gpu, task) from the
 // run's root RNG and simulated devices are pure functions of the measured
-// configuration, so best-found plans are byte-identical to a flat
-// TuneFleet run with the same seed regardless of shard count, session
-// count, steal order, or which endpoint served which chunk.
+// configuration, so best-found plans are byte-identical to tuning each
+// target's tasks one after another on a plain in-process simulator with
+// the same seed (the reference loop the fleet tests pin against),
+// regardless of shard count, session count, steal order, or which
+// endpoint served which chunk.
 type Scheduler struct {
 	sc    SchedulerConfig
 	slots []*slot
@@ -162,11 +162,23 @@ func (s *Scheduler) notifyRelease() {
 	s.notifyMu.Unlock()
 }
 
+// hosted reports whether any endpoint in the pool can measure gpu.
+func (s *Scheduler) hosted(gpu string) bool {
+	for _, sl := range s.slots {
+		if sl.ep.HostsGPU(gpu) {
+			return true
+		}
+	}
+	return false
+}
+
 // partitionTargets splits the target GPUs into n contiguous groups of
 // neighbours in Blueprint embedding space, so each shard tunes
 // architecturally similar devices (their sessions stress similar schedule
 // regions, and a borrowed endpoint is likelier to host the sibling GPU).
-// Falls back to a name-sorted split when the embedding cannot be built.
+// Falls back to a name-sorted split when the embedding cannot be built,
+// and skips it when every shard holds one target: there is then nothing
+// to group.
 func partitionTargets(targets []string, n int) [][]string {
 	if n <= 0 || n > len(targets) {
 		n = len(targets)
@@ -176,17 +188,17 @@ func partitionTargets(targets []string, n int) [][]string {
 		key  float64
 	}
 	ks := make([]keyed, len(targets))
-	emb, err := blueprint.Build(hwspec.Registry(), blueprint.DefaultDim())
 	for i, t := range targets {
 		ks[i] = keyed{name: t}
-		if err != nil {
-			continue
+	}
+	if n < len(targets) {
+		if emb, err := blueprint.Build(hwspec.Registry(), blueprint.DefaultDim()); err == nil {
+			for i := range ks {
+				if spec, err := hwspec.ByName(ks[i].name); err == nil {
+					ks[i].key = emb.Embed(spec)[0]
+				}
+			}
 		}
-		spec, serr := hwspec.ByName(t)
-		if serr != nil {
-			continue
-		}
-		ks[i].key = emb.Embed(spec)[0]
 	}
 	sort.Slice(ks, func(i, j int) bool {
 		if ks[i].key != ks[j].key { //glint:ignore floateq -- total-order tiebreak for sorting, not a tolerance check
@@ -270,15 +282,28 @@ func (s *Scheduler) popUnit(shard int, tracer *telemetry.Tracer) (unit, bool) {
 }
 
 // Run tunes the model on every target GPU over the endpoint pool and
-// returns the plans in target order. Per-task failures yield partial
-// plans exactly as TuneModel does; only configuration and checkpoint I/O
-// errors abort the run.
+// returns the plans in target order.
+//
+// Per-task failures (device crash, exhausted retries, no valid
+// configuration, codegen errors) do not abort the run: the failed task is
+// recorded in its plan with Failed set and tuning of the other tasks
+// continues, so hours of completed measurements survive one dead board
+// and one GPU's failures never reach another GPU's plan. Only
+// configuration errors (no NewTuner, an unknown model, a target no
+// endpoint hosts) and checkpoint or cache I/O failures return an error.
 func (s *Scheduler) Run(cfg Config, targets []string, g *rng.RNG) ([]*Plan, error) {
 	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("fleet: scheduler run needs at least one target")
+	}
+	devRNG := make([]*rng.RNG, len(targets))
+	for i, gpu := range targets {
+		if !s.hosted(gpu) {
+			return nil, fmt.Errorf("fleet: no endpoint hosts %s", gpu)
+		}
+		devRNG[i] = g.Split("device/" + gpu)
 	}
 	shards := partitionTargets(targets, s.sc.Shards)
 	s.assignEndpoints(shards)
@@ -333,7 +358,7 @@ func (s *Scheduler) Run(cfg Config, targets []string, g *rng.RNG) ([]*Plan, erro
 						return
 					}
 					d := s.dispatcher(u, cfg.Tracer)
-					tp, err := runTask(&cfg, d, u.task, g.Split("device/"+u.gpu))
+					tp, err := runTask(&cfg, d, u.task, devRNG[u.gpuIndex])
 					results[u.gpuIndex][u.taskPos] = cell{tp: tp, err: err}
 					s.mu.Lock()
 					s.stats.TasksDone++

@@ -78,25 +78,41 @@ func schedCfg(t *testing.T) Config {
 	}
 }
 
-// flatBaseline is the reference result: the original flat TuneFleet over
-// plain in-process simulators, no scheduler involved.
-func flatBaseline(t *testing.T, cfg Config, targets []string, seed int64) []*Plan {
+// referencePlans is the oracle of the determinism pins: every task of
+// every target tuned one after another on a plain in-process simulator,
+// with the scheduler's per-(gpu, task) randomness, then assembled. No
+// scheduler, dispatcher, endpoint pool or Reliable wrapper is involved.
+func referencePlans(t *testing.T, cfg Config, targets []string, seed int64) []*Plan {
 	t.Helper()
-	plans, err := TuneFleet(cfg, targets, rng.New(seed))
-	if err != nil {
+	if err := cfg.resolve(); err != nil {
 		t.Fatal(err)
+	}
+	g := rng.New(seed)
+	plans := make([]*Plan, len(targets))
+	for i, gpu := range targets {
+		m, err := measure.NewLocal(gpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tps := make([]TaskPlan, len(cfg.Tasks))
+		for j, task := range cfg.Tasks {
+			if tps[j], err = runTask(&cfg, m, task, g.Split("device/"+gpu)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plans[i] = assemblePlan(cfg.Model, gpu, cfg.Tasks, tps)
 	}
 	return plans
 }
 
-// The sharded scheduler must reproduce the flat fleet's plans exactly —
+// The sharded scheduler must reproduce the reference plans exactly —
 // same best configs, same accounting — for any shard count, session
 // count, and steal setting, because tuning randomness is keyed by
 // (gpu, task), not by scheduling.
 func TestSchedulerMatchesFlatFleetAnyTopology(t *testing.T) {
 	cfg := schedCfg(t)
 	targets := append([]string(nil), hwspec.Targets...)
-	want := flatBaseline(t, cfg, targets, 11)
+	want := referencePlans(t, cfg, targets, 11)
 
 	for _, tc := range []struct {
 		name string
@@ -118,7 +134,7 @@ func TestSchedulerMatchesFlatFleetAnyTopology(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: sharded plans differ from flat TuneFleet", tc.name)
+			t.Fatalf("%s: sharded plans differ from the reference loop", tc.name)
 		}
 	}
 }
@@ -130,7 +146,7 @@ func TestSchedulerDeterministicUnderChaos(t *testing.T) {
 	cfg := schedCfg(t)
 	cfg.Tasks = subset(t, workload.ResNet18, 2, 17)
 	targets := []string{hwspec.TitanXp, hwspec.RTX3090}
-	want := flatBaseline(t, cfg, targets, 23)
+	want := referencePlans(t, cfg, targets, 23)
 
 	const n = 10
 	for _, scenario := range []faults.Scenario{
@@ -169,7 +185,7 @@ func TestSchedulerStealsEndpointsAcrossShards(t *testing.T) {
 	cfg := schedCfg(t)
 	cfg.Tasks = subset(t, workload.ResNet18, 7)
 	targets := []string{hwspec.TitanXp, hwspec.RTX3090}
-	want := flatBaseline(t, cfg, targets, 31)
+	want := referencePlans(t, cfg, targets, 31)
 
 	build := func(steal bool) (*Scheduler, error) {
 		dying := Endpoint{
@@ -275,7 +291,7 @@ func TestSchedulerReadmitsRecoveredEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := flatBaseline(t, cfg, targets, 41)
+	want := referencePlans(t, cfg, targets, 41)
 	got, err := s.Run(cfg, targets, rng.New(41))
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +428,7 @@ func TestSchedulerResumesTornCheckpoint(t *testing.T) {
 func TestSchedulerCrashCheckpointScenarioConverges(t *testing.T) {
 	cfg := schedCfg(t)
 	targets := []string{hwspec.TitanXp, hwspec.RTX3090}
-	want := flatBaseline(t, cfg, targets, 61)
+	want := referencePlans(t, cfg, targets, 61)
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 
 	ck, err := OpenCheckpoint(path)
@@ -482,7 +498,7 @@ func TestSchedulerSpeculatesOnStragglers(t *testing.T) {
 	cfg := schedCfg(t)
 	cfg.Tasks = subset(t, workload.ResNet18, 7)
 	targets := []string{hwspec.TitanXp}
-	want := flatBaseline(t, cfg, targets, 71)
+	want := referencePlans(t, cfg, targets, 71)
 
 	slow := faults.Scenario{Name: "straggler", Configs: []faults.ChurnConfig{
 		{Phases: []faults.Phase{{Delay: 500 * time.Millisecond}}}, // a-ep: everything straggles

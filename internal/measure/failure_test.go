@@ -102,7 +102,9 @@ func TestPingHealthRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	health, err := remote.Ping()
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultDialTimeout)
+	defer cancel()
+	health, err := remote.PingContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

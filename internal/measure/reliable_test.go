@@ -354,7 +354,8 @@ func TestHungBatchFailsOverWithinDeadline(t *testing.T) {
 }
 
 // TestReliableConcurrentSessions hammers one Reliable from concurrent
-// tuning sessions (as fleet.TuneModel does) — primarily a -race target.
+// tuning sessions (the fleet scheduler's sessions share one Reliable per
+// endpoint and GPU) — primarily a -race target.
 func TestReliableConcurrentSessions(t *testing.T) {
 	task, sp, idxs := testTask(t)
 	other, err := workload.TaskByIndex(workload.ResNet18, 9)

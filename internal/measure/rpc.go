@@ -400,17 +400,8 @@ func (r *Remote) MeasureBatchContext(ctx context.Context, task workload.Task, sp
 	}
 }
 
-// Ping health-checks the server this Remote is connected to, bounded by
-// the default dial timeout.
-func (r *Remote) Ping() (PingReply, error) {
-	//glint:ignore ctxflow -- compat shim: the timeout-bounded health probe is its own root
-	ctx, cancel := context.WithTimeout(context.Background(), DefaultDialTimeout)
-	defer cancel()
-	return r.PingContext(ctx)
-}
-
-// PingContext is Ping bounded by a caller-supplied context; the in-flight
-// RPC is abandoned when ctx expires.
+// PingContext health-checks the server this Remote is connected to,
+// bounded by ctx; the in-flight RPC is abandoned when ctx expires.
 func (r *Remote) PingContext(ctx context.Context) (PingReply, error) {
 	var reply PingReply
 	call := r.client.Go("Measure.Ping", struct{}{}, &reply, make(chan *rpc.Call, 1))

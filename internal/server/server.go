@@ -286,10 +286,8 @@ func (s *Server) worker(ctx context.Context) {
 		s.mu.Lock()
 		s.running[j.ID] = rj
 		s.mu.Unlock()
+		// runJob ends in finishJob or requeue, which drop j from running.
 		s.runJob(ctx, rj)
-		s.mu.Lock()
-		delete(s.running, j.ID)
-		s.mu.Unlock()
 	}
 }
 
@@ -413,6 +411,12 @@ func (s *Server) setState(j *Job, state JobState, detail string) {
 	s.mu.Lock()
 	j.State = state
 	j.Detail = detail
+	if state != StateRunning {
+		// A job leaving the running state gives up its session slot in
+		// the same critical section, so no reader sees it queued (or
+		// terminal, in finishJob) and still running.
+		delete(s.running, j.ID)
+	}
 	snap := *j
 	s.mu.Unlock()
 	if err := s.store.appendState(&snap); err != nil {
@@ -448,6 +452,7 @@ func (s *Server) finishJob(j *Job, state JobState, detail string, res *tuner.Res
 	s.mu.Lock()
 	j.State = state
 	j.Detail = detail
+	delete(s.running, j.ID)
 	if res != nil {
 		j.Result = res
 	}

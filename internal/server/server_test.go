@@ -806,6 +806,53 @@ func TestLedgerEndpointReconciles(t *testing.T) {
 	}
 }
 
+// TestRunningClearsWhenJobsFinish polls every job to a terminal state and
+// then requires /v1/tenants and /telemetryz to report no running job. The
+// measurer's closer stalls, so each worker is still winding its session
+// down when its job already reads terminal: the job must give up its
+// running slot with the terminal transition, not when the worker returns.
+func TestRunningClearsWhenJobsFinish(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs tuning sessions")
+	}
+	s, base := newTestServer(t, t.TempDir(), func(c *Config) {
+		c.Sessions = 2
+		c.NewMeasurer = func(gpu string) (measure.Measurer, func() error, error) {
+			m, err := measure.NewLocal(gpu)
+			stall := func() error { time.Sleep(300 * time.Millisecond); return nil }
+			return m, stall, err
+		}
+	})
+	defer drainNow(t, s)
+	var ids []string
+	for seed := int64(1); seed <= 3; seed++ {
+		ids = append(ids, submitJob(t, base, JobSpec{Model: workload.AlexNet, TaskIndex: 2,
+			GPU: hwspec.TitanXp, Seed: seed, MaxMeasurements: 16, Tenant: "acme"}))
+	}
+	for _, id := range ids {
+		if v := waitTerminal(t, base, id, 120*time.Second); v.State != StateDone {
+			t.Fatalf("job %s ended %s", id, v.State)
+		}
+	}
+	for _, path := range []string{"/v1/tenants", "/telemetryz"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var view struct {
+			Running int `json:"running"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&view)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.Running != 0 {
+			t.Fatalf("%s reports %d running after every job finished", path, view.Running)
+		}
+	}
+}
+
 // TestServeTenantSplitAcrossDrain runs a two-tenant stream at a 3:1
 // budget split on two sessions, drains the server mid-stream and restarts
 // it on the same state directory: every job must finish, the drain must
