@@ -94,8 +94,8 @@ bench-obs:
 # in one shard (no stealing or speculation) vs four shards with both, over
 # 200 simulated endpoints with 10% device flap and 16 sessions each.
 # Compare the meas/s metric between the two entries; the sharded entry
-# measured about 1.1x the one-shard entry on a 2-vCPU VM, since both
-# reroute failed chunks and size chunks adaptively.
+# measured 1.05-1.07x the one-shard entry in four runs on a 2-vCPU VM,
+# since both reroute failed chunks and size chunks adaptively.
 .PHONY: bench-fleet
 bench-fleet:
 	$(GO) test -bench 'BenchmarkFleet' -benchtime 1x -benchmem -run '^$$' ./internal/fleet/... \
