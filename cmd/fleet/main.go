@@ -138,26 +138,14 @@ func main() {
 		if tk, ok := toolkits[gpu]; ok {
 			return tk, nil
 		}
+		var path string
 		if *artifacts != "" {
-			path := filepath.Join(*artifacts, gpu+".toolkit.json")
-			if tk, err := core.LoadToolkit(path); err == nil && tk.TargetName == gpu {
-				fmt.Fprintf(os.Stderr, "fleet: loaded artifacts for %s\n", gpu)
-				toolkits[gpu] = tk
-				return tk, nil
-			}
+			path = filepath.Join(*artifacts, gpu+".toolkit.json")
 		}
-		fmt.Fprintf(os.Stderr, "fleet: training artifacts for %s...\n", gpu)
-		tk, err := core.TrainToolkit(gpu, core.ToolkitConfig{}, g.Split("toolkit/"+gpu))
+		fmt.Fprintf(os.Stderr, "fleet: loading or training artifacts for %s...\n", gpu)
+		tk, err := core.LoadOrTrainToolkit(path, gpu, g.Split("toolkit/"+gpu))
 		if err != nil {
 			return nil, err
-		}
-		if *artifacts != "" {
-			if err := os.MkdirAll(*artifacts, 0o755); err != nil {
-				return nil, err
-			}
-			if err := tk.Save(filepath.Join(*artifacts, gpu+".toolkit.json")); err != nil {
-				return nil, err
-			}
 		}
 		toolkits[gpu] = tk
 		return tk, nil

@@ -14,25 +14,31 @@
 // deadline, bounded retries, circuit breaker), and -fallback-local adds the
 // in-process simulator as a failover backend so tuning survives a dead
 // server. -artifacts caches the trained offline toolkit (loaded when
-// present, trained and saved otherwise); -log appends every hardware
-// measurement as a JSON line (AutoTVM-style tuning log). -checkpoint
-// records each finished task in a JSONL file; rerunning with the same file
-// skips them. -trace writes a JSONL span trace of the tuning loop's stages
-// (prior sampling, annealing, surrogate fits, acquisition, measurement);
-// aggregate it with cmd/tracereport. Tracing observes only — results are
-// byte-identical with and without it.
+// saved for -gpu, trained and saved otherwise); -log appends every
+// hardware measurement as a JSON line (AutoTVM-style tuning log).
 //
-// -cache points at a persistent tuned-config store (JSONL, created if
-// absent): a task whose workload fingerprint and GPU were tuned before is
-// served from the store with zero measurements, and a task tuned before
-// only on *other* GPUs warm-starts from the -warm-k nearest donors in
-// Blueprint space under a shrunken budget. New bests are written back
-// unless -cache-readonly is set (which also never creates or modifies the
-// file — safe for concurrent serving).
+// Each task runs through fleet.TuneTask, the per-task protocol cmd/fleet
+// uses too. -checkpoint records each finished task in a JSONL file;
+// rerunning with the same file skips them (tuner "glimpse*"). -cache
+// points at a persistent tuned-config store (JSONL, created if absent): a
+// task whose workload fingerprint and GPU were tuned before is served from
+// the store with zero measurements ("glimpse (cache)"), and a task tuned
+// before only on *other* GPUs warm-starts from the -warm-k nearest donors
+// in Blueprint space under a shrunken budget ("glimpse (warm)"). New bests
+// are written back unless -cache-readonly is set (which also never creates
+// or modifies the file — safe for concurrent serving). -compare skips the
+// tasks served from the checkpoint or the cache.
+//
+// -trace writes a JSONL span trace: one task span per task, with its cache
+// lookup and the tuning loop's stages (prior sampling, annealing,
+// surrogate fits, acquisition, measurement) nested under it; aggregate it
+// with cmd/tracereport. Tracing observes only — results are byte-identical
+// with and without it.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -169,26 +175,10 @@ func main() {
 	}
 
 	g := rng.New(*seed)
-	var tk *core.Toolkit
-	if *artifacts != "" {
-		if loaded, err := core.LoadToolkit(*artifacts); err == nil && loaded.TargetName == *gpu {
-			fmt.Fprintf(os.Stderr, "loaded trained artifacts from %s\n", *artifacts)
-			tk = loaded
-		}
-	}
-	if tk == nil {
-		fmt.Fprintf(os.Stderr, "training Glimpse offline artifacts for %s (leave-target-out)...\n", *gpu)
-		var err error
-		tk, err = core.TrainToolkit(*gpu, core.ToolkitConfig{}, g.Split("toolkit"))
-		if err != nil {
-			fail(err)
-		}
-		if *artifacts != "" {
-			if err := tk.Save(*artifacts); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "saved artifacts to %s\n", *artifacts)
-		}
+	fmt.Fprintf(os.Stderr, "loading or training Glimpse offline artifacts for %s (leave-target-out)...\n", *gpu)
+	tk, err := core.LoadOrTrainToolkit(*artifacts, *gpu, g.Split("toolkit"))
+	if err != nil {
+		fail(err)
 	}
 
 	var store *cache.Store
@@ -220,87 +210,47 @@ func main() {
 	}
 
 	bud := tuner.Budget{MaxMeasurements: *budget, Patience: 4, Epsilon: 0.01}
+	cfg := fleet.Config{
+		Model:      *model,
+		Budget:     bud,
+		Checkpoint: ck,
+		Cache:      store,
+		WarmK:      *warmK,
+		Tracer:     tracer,
+		NewTuner: func(workload.Task, string) (tuner.Tuner, error) {
+			gl := tk.Tuner()
+			gl.Tracer = tracer
+			return gl, nil
+		},
+	}
 	table := metrics.NewTable(
 		fmt.Sprintf("Glimpse tuning %s on %s (%d measurements/task)", *model, *gpu, *budget),
 		"task", "tuner", "best GFLOPS", "kernel ms", "measured", "invalid", "GPU s")
 	for _, task := range tasks {
-		if ck != nil {
-			if tp, ok := ck.Lookup(*model, *gpu, task.Name()); ok {
-				table.AddRowf(task.Name(), "glimpse*",
-					fmt.Sprintf("%.0f", tp.GFLOPS), fmt.Sprintf("%.4f", tp.TimeMS),
-					tp.Measurements, tp.Invalid, fmt.Sprintf("%.0f", tp.GPUSeconds))
-				continue
-			}
-		}
-		sp, err := space.ForTask(task)
+		tp, err := fleet.TuneTask(&cfg, m, task, g.Split("tune/"+task.Name()))
 		if err != nil {
 			fail(err)
 		}
-		var fp string
-		var warm *cache.WarmStart
-		taskBudget := bud
-		if store != nil {
-			fp = cache.Fingerprint(task, sp)
-			lsp := tracer.Start(telemetry.StageCacheLookup)
-			lsp.SetAttr("task", task.Name())
-			ce, hit := store.Get(fp, *gpu)
-			lsp.SetAttr("hit", hit)
-			lsp.End()
-			if hit && ce.BestConfig < sp.Size() {
-				hsp := tracer.Start(telemetry.StageCacheHit)
-				hsp.SetAttr("task", task.Name())
-				hsp.SetAttr("gflops", ce.GFLOPS)
-				hsp.End()
-				table.AddRowf(task.Name(), "glimpse (cache)",
-					fmt.Sprintf("%.0f", ce.GFLOPS), fmt.Sprintf("%.4f", ce.TimeMS),
-					0, 0, "0")
-				continue
-			}
-			warm = store.WarmStart(fp, *gpu, sp, *warmK)
+		if tp.Failed {
+			fail(errors.New(tp.Error))
 		}
-		gl := tk.Tuner()
-		gl.Tracer = tracer
 		name := "glimpse"
-		if warm != nil {
-			gl.SetWarmStart(warm)
-			taskBudget = cache.ShrinkBudget(bud, cache.WarmBudgetFrac)
+		switch {
+		case tp.FromCheckpoint:
+			name = "glimpse*"
+		case tp.FromCache:
+			name = "glimpse (cache)"
+		case tp.WarmStarted:
 			name = "glimpse (warm)"
 		}
-		res, err := gl.Tune(task, sp, m, taskBudget, g.Split("tune/"+task.Name()))
-		if err != nil {
-			fail(err)
-		}
-		if store != nil {
-			if ce, ok := cache.EntryFromResult(fp, *gpu, res, sp); ok {
-				ce.Model = *model
-				ce.TaskIndex = task.Index
-				if _, err := store.Put(ce); err != nil {
-					fail(err)
-				}
-			}
-		}
 		table.AddRowf(task.Name(), name,
-			fmt.Sprintf("%.0f", res.BestGFLOPS), fmt.Sprintf("%.4f", res.BestTimeMS),
-			res.Measurements, res.Invalid, fmt.Sprintf("%.0f", res.GPUSeconds))
-		if ck != nil && res.BestIndex >= 0 {
-			tp := fleet.TaskPlan{
-				TaskName:     task.Name(),
-				TaskIndex:    task.Index,
-				Kind:         task.Kind.String(),
-				ConfigIndex:  res.BestIndex,
-				Schedule:     sp.Describe(sp.FromIndex(res.BestIndex)),
-				GFLOPS:       res.BestGFLOPS,
-				TimeMS:       res.BestTimeMS,
-				Repeats:      task.Repeats,
-				GPUSeconds:   res.GPUSeconds,
-				Measurements: res.Measurements,
-				Invalid:      res.Invalid,
-			}
-			if err := ck.Append(*model, *gpu, tp); err != nil {
+			fmt.Sprintf("%.0f", tp.GFLOPS), fmt.Sprintf("%.4f", tp.TimeMS),
+			tp.Measurements, tp.Invalid, fmt.Sprintf("%.0f", tp.GPUSeconds))
+		if *compare && !tp.FromCheckpoint && !tp.FromCache {
+			sp, err := space.ForTask(task)
+			if err != nil {
 				fail(err)
 			}
-		}
-		if *compare {
 			atvm := tuner.AutoTVM{}
 			atvm.Anneal.Tracer = tracer
 			atvm.Model.Tracer = tracer

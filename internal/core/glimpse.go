@@ -73,7 +73,7 @@ type Glimpse struct {
 func (gl *Glimpse) SetWarmStart(ws *cache.WarmStart) { gl.Warm = ws }
 
 // SetTraceContext installs the parent span context for the next session's
-// spans. Generic drivers (fleet.runTask) call it through an interface
+// spans. Generic drivers (fleet.TuneTask) call it through an interface
 // assertion, so tuners without tracing support are still accepted.
 func (gl *Glimpse) SetTraceContext(sc telemetry.SpanContext) { gl.Trace = sc }
 

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"github.com/neuralcompile/glimpse/internal/acq"
 	"github.com/neuralcompile/glimpse/internal/blueprint"
 	"github.com/neuralcompile/glimpse/internal/hwspec"
 	"github.com/neuralcompile/glimpse/internal/prior"
+	"github.com/neuralcompile/glimpse/internal/rng"
 )
 
 // toolkitJSON is the on-disk form of a trained toolkit.
@@ -63,4 +65,29 @@ func LoadToolkit(path string) (*Toolkit, error) {
 	// The prior references the same embedding instance after a round trip.
 	v.Prior.Emb = v.Emb
 	return &Toolkit{TargetName: v.TargetName, Emb: v.Emb, Prior: v.Prior, Acq: v.Acq}, nil
+}
+
+// LoadOrTrainToolkit returns the toolkit saved at path when it was trained
+// for gpu. Otherwise it trains one leave-target-out with the default
+// config from g and saves it to path, creating path's directory. An empty
+// path trains without saving.
+func LoadOrTrainToolkit(path, gpu string, g *rng.RNG) (*Toolkit, error) {
+	if path != "" {
+		if tk, err := LoadToolkit(path); err == nil && tk.TargetName == gpu {
+			return tk, nil
+		}
+	}
+	tk, err := TrainToolkit(gpu, ToolkitConfig{}, g)
+	if err != nil {
+		return nil, err
+	}
+	if path != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return nil, err
+		}
+		if err := tk.Save(path); err != nil {
+			return nil, err
+		}
+	}
+	return tk, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 
 	"github.com/neuralcompile/glimpse/internal/acq"
 	"github.com/neuralcompile/glimpse/internal/hwspec"
+	"github.com/neuralcompile/glimpse/internal/rng"
 	"github.com/neuralcompile/glimpse/internal/workload"
 )
 
@@ -57,6 +59,41 @@ func TestToolkitSaveLoadRoundTrip(t *testing.T) {
 	st := acq.Stats{Mean: 1.1, Std: 0.2, Best: 1, Progress: 0.5, PriorLogProb: -4}
 	if tk.Acq.Score(st, a) != restored.Acq.Score(st, b) {
 		t.Fatal("acquisition scores differ after round trip")
+	}
+}
+
+// LoadOrTrainToolkit reuses a saved toolkit only for its own target. Any
+// other GPU goes to training (here an unknown one, so training fails
+// fast), and the saved file stays as it was.
+func TestLoadOrTrainToolkitReusesOnlyMatchingTarget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	tk := smallToolkit(t)
+	path := filepath.Join(t.TempDir(), "toolkit.json")
+	if err := tk.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadOrTrainToolkit(path, tk.TargetName, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A default-config toolkit trained from rng.New(1) would score
+	// differently from the small one on disk.
+	emb := tk.Emb.Embed(hwspec.MustByName(tk.TargetName))
+	st := acq.Stats{Mean: 1.1, Std: 0.2, Best: 1, Progress: 0.5, PriorLogProb: -4}
+	if got.TargetName != tk.TargetName || got.Acq.Score(st, emb) != tk.Acq.Score(st, emb) {
+		t.Fatal("matching target was not served from the saved toolkit")
+	}
+	if _, err := LoadOrTrainToolkit(path, "gpu-x", rng.New(1)); err == nil {
+		t.Fatal("toolkit for an unknown GPU accepted")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, saved) {
+		t.Fatalf("saved toolkit changed by a failed training (read err %v)", err)
 	}
 }
 

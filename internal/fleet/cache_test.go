@@ -8,6 +8,8 @@ import (
 	"github.com/neuralcompile/glimpse/internal/cache"
 	"github.com/neuralcompile/glimpse/internal/hwspec"
 	"github.com/neuralcompile/glimpse/internal/measure"
+	"github.com/neuralcompile/glimpse/internal/rng"
+	"github.com/neuralcompile/glimpse/internal/space"
 	"github.com/neuralcompile/glimpse/internal/tuner"
 	"github.com/neuralcompile/glimpse/internal/workload"
 )
@@ -126,5 +128,48 @@ func TestTuneModelWarmStartsFromDonorDevice(t *testing.T) {
 	// The warm pass wrote titan-xp bests back: 2 devices × 2 tasks stored.
 	if store.Len() != 4 {
 		t.Fatalf("store holds %d entries, want 4", store.Len())
+	}
+}
+
+// An exact hit whose stored best lies outside the task's space (a stale or
+// hand-edited store file) is not served: the session warm-starts from the
+// donors like a miss, and its result replaces the stale entry.
+func TestTuneTaskOutOfSpaceHitWarmStarts(t *testing.T) {
+	store := openCache(t)
+	tasks := subset(t, workload.ResNet18, 17)
+	cfg := Config{
+		Model:    workload.ResNet18,
+		Tasks:    tasks,
+		Budget:   tuner.Budget{MaxMeasurements: 48},
+		NewTuner: randomTunerFactory,
+		Cache:    store,
+		WarmK:    3,
+	}
+	if _, err := tuneOn(cfg, SchedulerConfig{}, measure.MustNewLocal("rtx-2080-ti"), 1); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := space.ForTask(tasks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := cache.Fingerprint(tasks[0], sp)
+	if _, err := store.Put(cache.Entry{Fingerprint: fp, Device: hwspec.TitanXp, BestConfig: sp.Size(), GFLOPS: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var seen []*cache.WarmStart
+	cfg.NewTuner = func(task workload.Task, gpu string) (tuner.Tuner, error) {
+		return &warmRandom{Random: tuner.Random{BatchSize: 16}, mu: &mu, seen: &seen}, nil
+	}
+	tp, err := TuneTask(&cfg, measure.MustNewLocal(hwspec.TitanXp), tasks[0], rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tp.Failed || tp.FromCache || !tp.WarmStarted || len(seen) != 1 || seen[0] == nil {
+		t.Fatalf("out-of-space hit: plan %+v, %d warm starts handed out", tp, len(seen))
+	}
+	if ce, ok := store.Get(fp, hwspec.TitanXp); !ok || ce.BestConfig != tp.ConfigIndex {
+		t.Fatalf("stale entry not replaced: %+v", ce)
 	}
 }

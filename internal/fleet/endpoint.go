@@ -135,8 +135,12 @@ func (s *slot) costStats() (int, float64) {
 	return s.served, s.ewmaSec
 }
 
+// targetChunkSeconds is the wall time one leased chunk should cost; the
+// adaptive chunk size is this over the endpoint's EWMA measurement cost.
+const targetChunkSeconds = 0.02
+
 // chunkSize adapts the batch slice leased to this endpoint so one chunk
-// targets sc.TargetChunkSeconds of wall time: fast endpoints get big
+// targets targetChunkSeconds of wall time: fast endpoints get big
 // chunks (amortized dispatch), slow or degrading ones get small chunks
 // (bounded straggler cost, finer-grained reassignment). Before any
 // observation it falls back to an even split.
@@ -144,12 +148,12 @@ func (s *slot) chunkSize(sc *SchedulerConfig, remaining, endpoints int) int {
 	_, ewma := s.costStats()
 	var n int
 	if ewma > 0 {
-		n = int(sc.TargetChunkSeconds / ewma)
+		n = int(targetChunkSeconds / ewma)
 	} else if endpoints > 0 {
 		n = remaining / endpoints
 	}
-	if n < sc.MinChunk {
-		n = sc.MinChunk
+	if n < 1 {
+		n = 1
 	}
 	if n > sc.MaxChunk {
 		n = sc.MaxChunk

@@ -134,14 +134,17 @@ func (c *Config) resolve() error {
 	return nil
 }
 
-// runTask tunes one task on one device-labelled measurer: checkpoint
-// lookup, tuning session, optional kernel generation, checkpoint append.
-// Per-task failures (device crash, exhausted retries, no valid
-// configuration, codegen errors) come back as a TaskPlan with Failed set;
-// the returned error is fatal only (checkpoint I/O). Randomness is split
-// from g by task name, so results do not depend on which goroutine, shard,
-// or endpoint runs the task.
-func runTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (TaskPlan, error) {
+// TuneTask tunes one task on one device-labelled measurer: checkpoint
+// lookup, tuned-config cache exact hit or donor warm start, tuning
+// session, optional kernel generation, checkpoint append and cache
+// write-back. Every per-task decision of Scheduler.Run and cmd/glimpse
+// lives here. Per-task failures (device crash, exhausted retries, no
+// valid configuration, codegen errors) come back as a TaskPlan with
+// Failed set; the returned error is fatal only (checkpoint or cache I/O).
+// g is the task's own stream: callers split it by task name, so results
+// do not depend on which goroutine, shard, or endpoint runs the task.
+// cfg is used as given (Scheduler.Run fills its defaults first).
+func TuneTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (TaskPlan, error) {
 	tsp, taskSC := cfg.Tracer.StartSpan(cfg.Trace, telemetry.StageTask)
 	tsp.SetAttr("task", task.Name())
 	tsp.SetAttr("gpu", m.DeviceName())
@@ -185,13 +188,16 @@ func runTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (T
 		lsp, _ := cfg.Tracer.StartSpan(taskSC, telemetry.StageCacheLookup)
 		lsp.SetAttr("task", task.Name())
 		ce, hit := cfg.Cache.Get(fp, m.DeviceName())
+		// A stored best outside the space (a stale or hand-edited store
+		// file) is no usable hit: the session warm-starts like a miss.
+		hit = hit && ce.BestConfig < sp.Size()
 		if !hit {
 			warm = cfg.Cache.WarmStart(fp, m.DeviceName(), sp, cfg.WarmK)
 			lsp.SetAttr("donors", warmDonors(warm))
 		}
 		lsp.SetAttr("hit", hit)
 		lsp.End()
-		if hit && ce.BestConfig < sp.Size() {
+		if hit {
 			hsp, _ := cfg.Tracer.StartSpan(taskSC, telemetry.StageCacheHit)
 			hsp.SetAttr("task", task.Name())
 			hsp.SetAttr("gflops", ce.GFLOPS)
@@ -242,7 +248,7 @@ func runTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (T
 			warm = nil
 		}
 	}
-	res, err := tn.Tune(task, sp, m, budget, g.Split("fleet/"+task.Name()))
+	res, err := tn.Tune(task, sp, m, budget, g)
 	if err != nil {
 		return failed(fmt.Errorf("fleet: %s: %w", task.Name(), err)), nil
 	}

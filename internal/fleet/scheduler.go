@@ -32,14 +32,8 @@ type SchedulerConfig struct {
 	// SpeculateAfter is the straggler threshold. 0 adapts it to 4x the
 	// endpoint fleet's observed mean chunk wall time.
 	SpeculateAfter time.Duration
-	// MinChunk/MaxChunk bound the adaptive per-endpoint batch slice
-	// (defaults 1 and 16).
-	MinChunk int
+	// MaxChunk caps the adaptive per-endpoint batch slice (default 16).
 	MaxChunk int
-	// TargetChunkSeconds is the wall time one leased chunk should cost,
-	// driving adaptive sizing from each endpoint's EWMA measurement cost
-	// (default 20ms).
-	TargetChunkSeconds float64
 	// SessionsPerShard is the number of concurrent tuning sessions each
 	// shard runs (default 4).
 	SessionsPerShard int
@@ -52,17 +46,8 @@ type SchedulerConfig struct {
 }
 
 func (c *SchedulerConfig) resolve() {
-	if c.MinChunk <= 0 {
-		c.MinChunk = 1
-	}
 	if c.MaxChunk <= 0 {
 		c.MaxChunk = 16
-	}
-	if c.MaxChunk < c.MinChunk {
-		c.MaxChunk = c.MinChunk
-	}
-	if c.TargetChunkSeconds <= 0 {
-		c.TargetChunkSeconds = 0.02
 	}
 	if c.SessionsPerShard <= 0 {
 		c.SessionsPerShard = 4
@@ -358,7 +343,7 @@ func (s *Scheduler) Run(cfg Config, targets []string, g *rng.RNG) ([]*Plan, erro
 						return
 					}
 					d := s.dispatcher(u, cfg.Tracer)
-					tp, err := runTask(&cfg, d, u.task, devRNG[u.gpuIndex])
+					tp, err := TuneTask(&cfg, d, u.task, devRNG[u.gpuIndex].Split("fleet/"+u.task.Name()))
 					results[u.gpuIndex][u.taskPos] = cell{tp: tp, err: err}
 					s.mu.Lock()
 					s.stats.TasksDone++

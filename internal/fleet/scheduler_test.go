@@ -96,7 +96,7 @@ func referencePlans(t *testing.T, cfg Config, targets []string, seed int64) []*P
 		}
 		tps := make([]TaskPlan, len(cfg.Tasks))
 		for j, task := range cfg.Tasks {
-			if tps[j], err = runTask(&cfg, m, task, g.Split("device/"+gpu)); err != nil {
+			if tps[j], err = TuneTask(&cfg, m, task, g.Split("device/"+gpu).Split("fleet/"+task.Name())); err != nil {
 				t.Fatal(err)
 			}
 		}

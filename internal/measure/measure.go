@@ -1,14 +1,12 @@
 // Package measure provides the measurement plumbing between tuners and
 // (simulated) hardware: a common interface, a local in-process measurer, a
 // net/rpc client/server pair mirroring the paper's "multiple generations of
-// GPUs connected via RPC", and bookkeeping of the GPU time a tuning session
-// consumes.
+// GPUs connected via RPC", and a fault-tolerant wrapper around them.
 package measure
 
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/neuralcompile/glimpse/internal/gpusim"
 	"github.com/neuralcompile/glimpse/internal/hwspec"
@@ -115,74 +113,3 @@ func (l *Local) MeasureBatchContext(ctx context.Context, task workload.Task, sp 
 
 // DeviceName identifies the GPU.
 func (l *Local) DeviceName() string { return l.dev.Spec.Name }
-
-// Record is one logged measurement.
-type Record struct {
-	ConfigIndex int64
-	Result      gpusim.Result
-}
-
-// Log accumulates measurement history and the simulated GPU-time spent;
-// it is safe for concurrent use.
-type Log struct {
-	mu      sync.Mutex
-	records []Record
-	gpuSec  float64
-	invalid int
-}
-
-// Append records a batch of measurements.
-func (l *Log) Append(idxs []int64, results []gpusim.Result) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, r := range results {
-		l.records = append(l.records, Record{ConfigIndex: idxs[i], Result: r})
-		l.gpuSec += r.CostSec
-		if !r.Valid {
-			l.invalid++
-		}
-	}
-}
-
-// Len returns the number of measurements logged.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.records)
-}
-
-// GPUSeconds returns the cumulative simulated measurement wall-clock.
-func (l *Log) GPUSeconds() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gpuSec
-}
-
-// InvalidCount returns how many logged measurements were invalid.
-func (l *Log) InvalidCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.invalid
-}
-
-// Best returns the best valid measurement logged, or ok=false.
-func (l *Log) Best() (Record, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	best := Record{}
-	found := false
-	for _, r := range l.records {
-		if r.Result.Valid && (!found || r.Result.GFLOPS > best.Result.GFLOPS) {
-			best = r
-			found = true
-		}
-	}
-	return best, found
-}
-
-// Records returns a copy of the measurement history.
-func (l *Log) Records() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Record(nil), l.records...)
-}

@@ -3,7 +3,6 @@ package measure
 import (
 	"testing"
 
-	"github.com/neuralcompile/glimpse/internal/gpusim"
 	"github.com/neuralcompile/glimpse/internal/hwspec"
 	"github.com/neuralcompile/glimpse/internal/rng"
 	"github.com/neuralcompile/glimpse/internal/space"
@@ -59,46 +58,6 @@ func TestLocalRejectsBadIndex(t *testing.T) {
 func TestNewLocalUnknownGPU(t *testing.T) {
 	if _, err := NewLocal("gpu-that-does-not-exist"); err == nil {
 		t.Fatal("unknown GPU accepted")
-	}
-}
-
-func TestLogAccounting(t *testing.T) {
-	var log Log
-	idxs := []int64{1, 2, 3}
-	results := []gpusim.Result{
-		{Valid: true, GFLOPS: 100, CostSec: 2},
-		{Valid: false, FailReason: "x", CostSec: 1},
-		{Valid: true, GFLOPS: 300, CostSec: 2.5},
-	}
-	log.Append(idxs, results)
-	if log.Len() != 3 {
-		t.Fatalf("Len = %d", log.Len())
-	}
-	if got := log.GPUSeconds(); got != 5.5 {
-		t.Fatalf("GPUSeconds = %g", got)
-	}
-	if got := log.InvalidCount(); got != 1 {
-		t.Fatalf("InvalidCount = %d", got)
-	}
-	best, ok := log.Best()
-	if !ok || best.ConfigIndex != 3 || best.Result.GFLOPS != 300 {
-		t.Fatalf("Best = %+v ok=%v", best, ok)
-	}
-	recs := log.Records()
-	recs[0].ConfigIndex = 99 // must not alias internal storage
-	if log.Records()[0].ConfigIndex == 99 {
-		t.Fatal("Records aliases internal state")
-	}
-}
-
-func TestLogBestEmptyOrAllInvalid(t *testing.T) {
-	var log Log
-	if _, ok := log.Best(); ok {
-		t.Fatal("empty log has a best")
-	}
-	log.Append([]int64{1}, []gpusim.Result{{Valid: false, CostSec: 1}})
-	if _, ok := log.Best(); ok {
-		t.Fatal("all-invalid log has a best")
 	}
 }
 

@@ -56,24 +56,11 @@ func (tp *trainingToolkits) Toolkit(gpu string, seed int64) (*core.Toolkit, erro
 	}
 	var path string
 	if tp.dir != "" {
-		name := fmt.Sprintf("%s-seed%d.json", strings.ReplaceAll(gpu, "/", "_"), seed)
-		path = filepath.Join(tp.dir, name)
-		if tk, err := core.LoadToolkit(path); err == nil && tk.TargetName == gpu {
-			tp.cache[key] = tk
-			return tk, nil
-		}
+		path = filepath.Join(tp.dir, fmt.Sprintf("%s-seed%d.json", strings.ReplaceAll(gpu, "/", "_"), seed))
 	}
-	tk, err := core.TrainToolkit(gpu, core.ToolkitConfig{}, rng.New(seed).Split("toolkit"))
+	tk, err := core.LoadOrTrainToolkit(path, gpu, rng.New(seed).Split("toolkit"))
 	if err != nil {
 		return nil, err
-	}
-	if path != "" {
-		if err := os.MkdirAll(tp.dir, 0o755); err != nil {
-			return nil, err
-		}
-		if err := tk.Save(path); err != nil {
-			return nil, err
-		}
 	}
 	tp.cache[key] = tk
 	return tk, nil
