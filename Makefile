@@ -48,12 +48,13 @@ fmt-check:
 build:
 	$(GO) build ./...
 
-# internal/gp's assembly kernel is amd64-only: building and vetting for
-# arm64 keeps its Go fallback (the build-tagged simd_other.go) compiling.
+# The assembly kernels of internal/gp and internal/nn and the CPUID check
+# of internal/cpufeat are amd64-only: building and vetting for arm64 keeps
+# their Go fallbacks (the build-tagged *_other.go files) compiling.
 .PHONY: cross
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/gp/
+	GOARCH=arm64 $(GO) vet ./internal/gp/ ./internal/nn/ ./internal/cpufeat/
 
 .PHONY: test
 test:

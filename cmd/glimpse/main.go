@@ -19,7 +19,8 @@
 //
 // Each task runs through fleet.TuneTask, the per-task protocol cmd/fleet
 // uses too. -checkpoint records each finished task in a JSONL file;
-// rerunning with the same file skips them (tuner "glimpse*"). -cache
+// rerunning with the same file and -budget skips them (tuner "glimpse*"),
+// and a rerun under another -budget tunes them again. -cache
 // points at a persistent tuned-config store (JSONL, created if absent): a
 // task whose workload fingerprint and GPU were tuned before is served from
 // the store with zero measurements ("glimpse (cache)"), and a task tuned

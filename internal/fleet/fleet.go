@@ -94,7 +94,8 @@ type Config struct {
 	// GenerateKernels embeds generated kernel source in the plan.
 	GenerateKernels bool
 	// Checkpoint, when set, records each completed task and lets a
-	// resumed session skip tasks already recorded for (model, gpu).
+	// resumed session skip tasks already recorded for (model, gpu) under
+	// the same Budget.
 	Checkpoint *Checkpoint
 	// Cache, when set, is consulted before each task is dispatched: an
 	// exact (fingerprint, device) hit serves the stored best configuration
@@ -167,7 +168,7 @@ func TuneTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (
 	}
 
 	if cfg.Checkpoint != nil {
-		if tp, ok := cfg.Checkpoint.Lookup(cfg.Model, m.DeviceName(), task.Name()); ok {
+		if tp, ok := cfg.Checkpoint.Lookup(cfg.Model, m.DeviceName(), task.Name(), cfg.Budget); ok {
 			tp.FromCheckpoint = true
 			tsp.SetAttr("outcome", "resumed")
 			return tp, nil
@@ -279,7 +280,7 @@ func TuneTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (
 	if cfg.Checkpoint != nil {
 		csp, _ := cfg.Tracer.StartSpan(taskSC, telemetry.StageCheckpoint)
 		csp.SetAttr("task", task.Name())
-		err := cfg.Checkpoint.Append(cfg.Model, m.DeviceName(), tp)
+		err := cfg.Checkpoint.Append(cfg.Model, m.DeviceName(), cfg.Budget, tp)
 		csp.End()
 		if err != nil {
 			return tp, fmt.Errorf("fleet: checkpoint %s: %w", task.Name(), err)

@@ -307,7 +307,7 @@ func TestCheckpointSurvivesTruncatedTail(t *testing.T) {
 		{TaskName: "alexnet/conv-3", TaskIndex: 3, ConfigIndex: 9, GFLOPS: 75, TimeMS: 3},
 	}
 	for _, tp := range plans {
-		if err := ck.Append(workload.AlexNet, hwspec.TitanXp, tp); err != nil {
+		if err := ck.Append(workload.AlexNet, hwspec.TitanXp, testBudget, tp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +341,7 @@ func TestCheckpointSurvivesTruncatedTail(t *testing.T) {
 		if ck2.Len() != kept {
 			t.Fatalf("offset %d: loaded %d entries, want %d", off, ck2.Len(), kept)
 		}
-		if err := ck2.Append(workload.AlexNet, hwspec.TitanXp, next); err != nil {
+		if err := ck2.Append(workload.AlexNet, hwspec.TitanXp, testBudget, next); err != nil {
 			t.Fatal(err)
 		}
 		if err := ck2.Close(); err != nil {
@@ -352,7 +352,7 @@ func TestCheckpointSurvivesTruncatedTail(t *testing.T) {
 			t.Fatalf("offset %d: reopen after repair+append: %v", off, err)
 		}
 		for _, tp := range append(plans[:kept:kept], next) {
-			got, ok := ck3.Lookup(workload.AlexNet, hwspec.TitanXp, tp.TaskName)
+			got, ok := ck3.Lookup(workload.AlexNet, hwspec.TitanXp, tp.TaskName, testBudget)
 			if !ok || !reflect.DeepEqual(got, tp) {
 				t.Fatalf("offset %d: %s reloaded as %+v (found=%v), want %+v", off, tp.TaskName, got, ok, tp)
 			}
@@ -374,13 +374,67 @@ func TestCheckpointIgnoresFailedPlans(t *testing.T) {
 	}
 	defer ck.Close()
 	bad := TaskPlan{TaskName: "x", TaskIndex: 1, Failed: true, Error: "boom"}
-	if err := ck.Append(workload.AlexNet, hwspec.TitanXp, bad); err != nil {
+	if err := ck.Append(workload.AlexNet, hwspec.TitanXp, testBudget, bad); err != nil {
 		t.Fatal(err)
 	}
 	if ck.Len() != 0 {
 		t.Fatal("failed task checkpointed")
 	}
-	if _, ok := ck.Lookup(workload.AlexNet, hwspec.TitanXp, "x"); ok {
+	if _, ok := ck.Lookup(workload.AlexNet, hwspec.TitanXp, "x", testBudget); ok {
 		t.Fatal("failed task resumable")
+	}
+}
+
+// testBudget is the budget the checkpoint unit tests record plans under.
+var testBudget = tuner.Budget{MaxMeasurements: 16}
+
+// TestTuneTaskCheckpointKeysOnBudget reruns a checkpointed task under
+// another budget: it must tune again, not serve the plan measured under
+// the first budget, while a rerun under the first budget still resumes.
+// A line that records no budget serves no budget.
+func TestTuneTaskCheckpointKeysOnBudget(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	ck, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	task := subset(t, workload.AlexNet, 2)[0]
+	run := func(measurements int) TaskPlan {
+		t.Helper()
+		cfg := Config{
+			Model:      workload.AlexNet,
+			Budget:     tuner.Budget{MaxMeasurements: measurements},
+			NewTuner:   randomTunerFactory,
+			Checkpoint: ck,
+		}
+		tp, err := TuneTask(&cfg, measure.MustNewLocal(hwspec.TitanXp), task, rng.New(3))
+		if err != nil || tp.Failed {
+			t.Fatalf("budget %d: plan %+v, err %v", measurements, tp, err)
+		}
+		return tp
+	}
+	if tp := run(16); tp.FromCheckpoint || tp.Measurements != 16 {
+		t.Fatalf("first run: plan %+v", tp)
+	}
+	if tp := run(32); tp.FromCheckpoint || tp.Measurements != 32 {
+		t.Fatalf("budget 32 on a budget-16 checkpoint: plan %+v, want a fresh 32-measurement session", tp)
+	}
+	if tp := run(16); !tp.FromCheckpoint || tp.Measurements != 16 {
+		t.Fatalf("budget 16 rerun: plan %+v, want the checkpointed one", tp)
+	}
+
+	legacy := filepath.Join(t.TempDir(), "legacy.jsonl")
+	line := `{"model":"alexnet","gpu":"titan-xp","task":{"task":"` + task.Name() + `","gflops":1}}` + "\n"
+	if err := os.WriteFile(legacy, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := OpenCheckpoint(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if _, ok := old.Lookup(workload.AlexNet, hwspec.TitanXp, task.Name(), tuner.Budget{MaxMeasurements: 16}); ok {
+		t.Fatal("a line without a budget served a lookup")
 	}
 }

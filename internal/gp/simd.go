@@ -1,6 +1,10 @@
 package gp
 
-import "math"
+import (
+	"math"
+
+	"github.com/neuralcompile/glimpse/internal/cpufeat"
+)
 
 // Kernel selection. The four-lane passes of PredictLanes have two
 // implementations that give the same bits: the Go code in lanes.go, which
@@ -15,6 +19,10 @@ import "math"
 // useKernel reports whether PredictLanes runs the assembly kernel. Tests
 // set it to false to run the Go passes.
 var useKernel = kernelSupported() && kernelMatches(covAsm)
+
+// kernelSupported reports whether the CPU has AVX2 and FMA and the OS
+// saves the ymm registers; it is false on every architecture but amd64.
+func kernelSupported() bool { return cpufeat.AVX2() && cpufeat.FMA() }
 
 // covFunc is covAsm's signature: the covariances of four squared
 // distances under Matern52{v, ls}, with bit l of bad set where lane l's

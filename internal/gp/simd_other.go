@@ -4,8 +4,6 @@ package gp
 
 // The assembly kernel exists only on amd64; elsewhere the Go passes run.
 
-func kernelSupported() bool { return false }
-
 func covAsm(*[Lanes]float64, float64, float64, *[Lanes]float64) int {
 	panic("gp: no assembly kernel on this architecture")
 }

@@ -55,10 +55,10 @@ type Dense struct {
 	gradB   *mat.Matrix
 
 	// Training workspaces, sized by the batch and dropped by release.
-	lastX   *mat.Matrix
-	out, dx mat.Matrix
-	col     []float64 // one column of the upstream gradient
-	acc     []float64 // one row of gradᵀ·x before it joins gradW
+	lastX       *mat.Matrix
+	wt, out, dx mat.Matrix // Wᵀ, the output and the input gradient
+	col         []float64  // one column of the upstream gradient
+	acc         []float64  // one row of gradᵀ·x before it joins gradW
 }
 
 // NewDense builds a dense layer with Glorot-uniform initial weights.
@@ -80,12 +80,27 @@ func NewDense(in, out int, g *rng.RNG) *Dense {
 }
 
 // Forward computes x·Wᵀ + b for a batch x (n×In) into the layer's
-// output workspace.
+// output workspace: W is transposed into a workspace, each output row is
+// sumRows of its input row over Wᵀ, and the bias is added last. Every
+// element adds the same terms in the same order as denseForward.
 func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
 	d.checkIn(x)
 	d.lastX = x
+	wd, td := d.W.RawData(), d.wt.Reuse(d.In, d.Out).RawData()
+	for j := 0; j < d.Out; j++ {
+		for k, w := range wd[j*d.In : (j+1)*d.In] {
+			td[k*d.Out+j] = w
+		}
+	}
 	out := d.out.Reuse(x.Rows(), d.Out)
-	denseForward(out, x, d.W, d.B)
+	bd := d.B.RawRow(0)
+	for i := 0; i < x.Rows(); i++ {
+		oi := out.RawRow(i)
+		sumRows(oi, x.RawRow(i), td)
+		for j, b := range bd[:len(oi)] {
+			oi[j] += b
+		}
+	}
 	return out
 }
 
@@ -148,7 +163,7 @@ func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
 
 // release drops the training workspaces and the cached input.
 func (d *Dense) release() {
-	d.lastX, d.out, d.dx, d.col, d.acc = nil, mat.Matrix{}, mat.Matrix{}, nil, nil
+	d.lastX, d.wt, d.out, d.dx, d.col, d.acc = nil, mat.Matrix{}, mat.Matrix{}, mat.Matrix{}, nil, nil
 }
 
 // Params exposes the weights and bias to the optimizer.
@@ -200,11 +215,12 @@ func denseForward(out, x, w, b *mat.Matrix) {
 	}
 }
 
-// sumRows sets dst = Σ_t a[t]·src[t] over the rows src[t] of the
+// sumRowsGo sets dst = Σ_t a[t]·src[t] over the rows src[t] of the
 // row-major src (row width len(dst)), adding in increasing t from +0 and
 // skipping a[t] == 0 — one output row of mat.Mul's ikj loop. Four rows
 // are folded per pass over dst, the running value held in a register.
-func sumRows(dst, a, src []float64) {
+// It is the definition of sumRows and its fallback (simd.go).
+func sumRowsGo(dst, a, src []float64) {
 	w := len(dst)
 	clear(dst)
 	t := 0

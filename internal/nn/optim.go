@@ -64,19 +64,35 @@ func (o *Adam) Step(params []Param) {
 		}
 	}
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	c := adamCoef{
+		b1: o.Beta1, c1: 1 - o.Beta1,
+		b2: o.Beta2, c2: 1 - o.Beta2,
+		bc1: 1 - math.Pow(o.Beta1, float64(o.t)),
+		bc2: 1 - math.Pow(o.Beta2, float64(o.t)),
+		lr:  o.LR, eps: o.Eps,
+	}
 	for i, p := range params {
-		val, grad := p.Value.RawData(), p.Grad.RawData()
-		m, v := o.m[i].RawData()[:len(val)], o.v[i].RawData()[:len(val)]
-		grad = grad[:len(val)]
-		for j, g := range grad {
-			mNew := o.Beta1*m[j] + (1-o.Beta1)*g
-			vNew := o.Beta2*v[j] + (1-o.Beta2)*g*g
-			m[j], v[j] = mNew, vNew
-			update := o.LR * (mNew / bc1) / (math.Sqrt(vNew/bc2) + o.Eps)
-			val[j] -= update
-		}
+		adamStep(p.Value.RawData(), p.Grad.RawData(), o.m[i].RawData(), o.v[i].RawData(), &c)
+	}
+}
+
+// adamCoef holds one Adam step's scalars: the betas and their
+// complements, the bias corrections, the learning rate and ε. The
+// assembly kernel reads the fields in this order.
+type adamCoef struct {
+	b1, c1, b2, c2, bc1, bc2, lr, eps float64
+}
+
+// adamGo updates one parameter's values, first moments and second
+// moments from its gradient, all of length len(val). It is the
+// definition of adamStep and its fallback (simd.go).
+func adamGo(val, grad, m, v []float64, c *adamCoef) {
+	for j, g := range grad {
+		mNew := c.b1*m[j] + c.c1*g
+		vNew := c.b2*v[j] + c.c2*g*g
+		m[j], v[j] = mNew, vNew
+		update := c.lr * (mNew / c.bc1) / (math.Sqrt(vNew/c.bc2) + c.eps)
+		val[j] -= update
 	}
 }
 
