@@ -205,9 +205,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer ck.Close()
-		if n := ck.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "fleet: resuming, %d tasks already checkpointed in %s\n", n, *ckptPath)
-		}
 		cfg.Checkpoint = ck
 	}
 
@@ -285,8 +282,10 @@ func main() {
 	table := metrics.NewTable(
 		fmt.Sprintf("Deployment plans: %s via %s (%d measurements/task)", *model, *tunerName, *budget),
 		"gpu", "latency ms", "GPU s", "measured", "invalid", "failed", "resumed", "cached")
-	partial := 0
+	partial, resumed, tasks := 0, 0, 0
 	for _, p := range plans {
+		resumed += p.ResumedTasks
+		tasks += len(p.Tasks)
 		table.AddRowf(p.GPU, fmt.Sprintf("%.4f", p.LatencyMS), fmt.Sprintf("%.0f", p.GPUSeconds),
 			p.Measurements, p.Invalid, p.FailedTasks, p.ResumedTasks, p.CachedTasks)
 		if !p.Complete() {
@@ -310,6 +309,9 @@ func main() {
 	fmt.Print(table.String())
 	if *out != "" {
 		fmt.Printf("plans written to %s/\n", *out)
+	}
+	if *ckptPath != "" {
+		fmt.Fprintf(os.Stderr, "fleet: resumed %d of %d tasks from %s\n", resumed, tasks, *ckptPath)
 	}
 	if partial > 0 {
 		hint := ""

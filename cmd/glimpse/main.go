@@ -205,9 +205,6 @@ func main() {
 			fail(err)
 		}
 		defer ck.Close()
-		if n := ck.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "resuming: %d tasks already checkpointed in %s\n", n, *ckptPath)
-		}
 	}
 
 	bud := tuner.Budget{MaxMeasurements: *budget, Patience: 4, Epsilon: 0.01}
@@ -227,6 +224,7 @@ func main() {
 	table := metrics.NewTable(
 		fmt.Sprintf("Glimpse tuning %s on %s (%d measurements/task)", *model, *gpu, *budget),
 		"task", "tuner", "best GFLOPS", "kernel ms", "measured", "invalid", "GPU s")
+	resumed := 0
 	for _, task := range tasks {
 		tp, err := fleet.TuneTask(&cfg, m, task, g.Split("tune/"+task.Name()))
 		if err != nil {
@@ -239,6 +237,7 @@ func main() {
 		switch {
 		case tp.FromCheckpoint:
 			name = "glimpse*"
+			resumed++
 		case tp.FromCache:
 			name = "glimpse (cache)"
 		case tp.WarmStarted:
@@ -265,6 +264,9 @@ func main() {
 		}
 	}
 	fmt.Print(table.String())
+	if ck != nil {
+		fmt.Fprintf(os.Stderr, "resumed: %d of %d tasks from %s\n", resumed, len(tasks), *ckptPath)
+	}
 	if store != nil {
 		st := store.Stats()
 		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d warm starts, %d puts (%d skipped)\n",

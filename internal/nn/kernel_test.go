@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"github.com/neuralcompile/glimpse/internal/cpufeat"
@@ -40,19 +42,43 @@ func (d *refDense) backward(grad *mat.Matrix) *mat.Matrix {
 	return grad.Mul(d.W)
 }
 
-// refActivation is the original Activation formulation (Apply/Hadamard).
+// refActivation is the original Activation formulation (Apply/Hadamard
+// over per-element closures), kept as the oracle for the activations.
 type refActivation struct {
-	a     *Activation
-	lastY *mat.Matrix
+	fn, deriv func(float64) float64
+	lastY     *mat.Matrix
+}
+
+func newRefActivation(name string) *refActivation {
+	switch name {
+	case "relu":
+		return &refActivation{
+			fn: func(x float64) float64 { return math.Max(0, x) },
+			deriv: func(y float64) float64 {
+				if y > 0 {
+					return 1
+				}
+				return 0
+			},
+		}
+	case "tanh":
+		return &refActivation{fn: math.Tanh, deriv: func(y float64) float64 { return 1 - y*y }}
+	case "sigmoid":
+		return &refActivation{
+			fn:    func(x float64) float64 { return 1 / (1 + math.Exp(-x)) },
+			deriv: func(y float64) float64 { return y * (1 - y) },
+		}
+	}
+	panic("no reference activation " + name)
 }
 
 func (r *refActivation) forward(x *mat.Matrix) *mat.Matrix {
-	r.lastY = x.Apply(r.a.fn)
+	r.lastY = x.Apply(r.fn)
 	return r.lastY
 }
 
 func (r *refActivation) backward(grad *mat.Matrix) *mat.Matrix {
-	return grad.Hadamard(r.lastY.Apply(r.a.deriv))
+	return grad.Hadamard(r.lastY.Apply(r.deriv))
 }
 
 // sparseMatrix draws an r×c matrix with about a quarter exact zeros (both
@@ -85,16 +111,16 @@ func requireSameBits(t *testing.T, what string, got, want *mat.Matrix) {
 	}
 }
 
-// forEachKernel runs f with the Go code and, where the CPU runs it, with
-// the assembly kernels.
+// forEachKernel runs f with the Go code and, where the CPU runs any of
+// them, with the assembly kernels.
 func forEachKernel(t *testing.T, f func(t *testing.T)) {
-	on := useKernel
+	on, tanhOn := useKernel, useTanhKernel
 	t.Run("go", func(t *testing.T) {
-		useKernel = false
-		defer func() { useKernel = on }()
+		useKernel, useTanhKernel = false, false
+		defer func() { useKernel, useTanhKernel = on, tanhOn }()
 		f(t)
 	})
-	if !on {
+	if !on && !tanhOn {
 		t.Log("the assembly kernels do not run on this CPU; checked the Go code only")
 		return
 	}
@@ -304,6 +330,32 @@ func TestKernelProbe(t *testing.T) {
 	if cpufeat.AVX2() && !useKernel {
 		t.Fatal("the CPU has AVX2 but the probe rejects the assembly kernels")
 	}
+
+	goTanh := func(dst, src []float64) {
+		for i, x := range src[:len(dst)] {
+			dst[i] = math.Tanh(x)
+		}
+	}
+	if !tanhMatches(goTanh) {
+		t.Fatal("tanh probe rejected math.Tanh itself")
+	}
+	// offTanh is math.Tanh one ulp off wherever |x| falls in [lo, hi).
+	offTanh := func(lo, hi float64) func(dst, src []float64) {
+		return func(dst, src []float64) {
+			goTanh(dst, src)
+			for i, x := range src[:len(dst)] {
+				if z := math.Abs(x); z >= lo && z < hi {
+					dst[i] = math.Nextafter(dst[i], 0)
+				}
+			}
+		}
+	}
+	if tanhMatches(offTanh(0, 0.625)) {
+		t.Fatal("tanh probe accepted a rational branch one ulp off")
+	}
+	if tanhMatches(offTanh(0.625, tanhSaturates)) {
+		t.Fatal("tanh probe accepted an exp branch one ulp off")
+	}
 }
 
 // TestDenseKernelsSkipZeroFactors pins the a == 0 skip, which only shows
@@ -340,22 +392,86 @@ func TestDenseKernelsSkipZeroFactors(t *testing.T) {
 }
 
 // TestActivationKernelsBitIdentical does the same for the workspace
-// Forward and in-place Backward of every activation.
+// Forward and in-place Backward of every activation, and for Infer.
 func TestActivationKernelsBitIdentical(t *testing.T) {
-	g := rng.New(8)
 	for _, mk := range []func() *Activation{ReLU, Tanh, Sigmoid} {
-		a := mk()
-		ref := &refActivation{a: mk()}
-		t.Run(a.Name, func(t *testing.T) {
-			for step := 0; step < 20; step++ {
-				n, w := 1+g.Intn(70), 1+g.Intn(13)
-				x := sparseMatrix(g, n, w)
-				requireSameBits(t, "forward", a.Forward(x), ref.forward(x))
-				requireSameBits(t, "infer", a.Infer(x), ref.forward(x))
-				grad := sparseMatrix(g, n, w)
-				requireSameBits(t, "backward", a.Backward(grad.Clone()), ref.backward(grad))
-			}
+		t.Run(mk().Name, func(t *testing.T) {
+			forEachKernel(t, func(t *testing.T) {
+				g := rng.New(8)
+				a, ref := mk(), newRefActivation(mk().Name)
+				for step := 0; step < 20; step++ {
+					n, w := 1+g.Intn(70), drawWidth(g)
+					x := sparseMatrix(g, n, w)
+					for i := range x.RawData() {
+						x.RawData()[i] *= 3 // both of tanh's branches, split at 0.625
+					}
+					requireSameBits(t, "forward", a.Forward(x), ref.forward(x))
+					requireSameBits(t, "infer", a.Infer(x), ref.forward(x))
+					grad := sparseMatrix(g, n, w)
+					requireSameBits(t, "backward", a.Backward(grad.Clone()), ref.backward(grad))
+				}
+			})
 		})
+	}
+}
+
+// TestTanhKernelBitIdentical compares tanhRows with math.Tanh bit for
+// bit on ±0 and subnormals, the neighbours of the branch points 0.625 and
+// tanhSaturates, ±Inf and NaNs of both signs, 10⁴ random values across
+// ±50, and every slice length 0–70.
+func TestTanhKernelBitIdentical(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1030, -0x1.8p-1023, 0x1p-1022, -0x1p-1022,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(math.NaN(), -1), math.Float64frombits(0x7ff0000000000001)}
+	for _, b := range []float64{0.625, tanhSaturates} {
+		for _, v := range []float64{b, math.Nextafter(b, 0), math.Nextafter(b, 100)} {
+			xs = append(xs, v, -v, math.Nextafter(v, 0), math.Nextafter(v, 100))
+		}
+	}
+	g := rng.New(13)
+	for i := 0; i < 10000; i++ {
+		xs = append(xs, 100*g.Float64()-50)
+	}
+	forEachKernel(t, func(t *testing.T) {
+		check := func(got, src []float64) {
+			t.Helper()
+			for i, x := range src {
+				if w := math.Tanh(x); math.Float64bits(got[i]) != math.Float64bits(w) {
+					t.Fatalf("tanh(%v [%#x]) = %v (%#x) want %v (%#x)", x, math.Float64bits(x), got[i], math.Float64bits(got[i]), w, math.Float64bits(w))
+				}
+			}
+		}
+		got := make([]float64, len(xs))
+		tanhRows(got, xs)
+		check(got, xs)
+		for n := 0; n <= 70; n++ {
+			src := xs[n : 2*n] // length n, from the n-th value on
+			dst := make([]float64, n+1)
+			dst[n] = 42
+			tanhRows(dst[:n], src)
+			check(dst, src)
+			if dst[n] != 42 {
+				t.Fatalf("length %d: tanhRows wrote past dst", n)
+			}
+		}
+	})
+}
+
+// TestTanhKernelRunsWithFMA fails if the tanh kernel is off on a CPU that
+// has AVX2 and FMA while GODEBUG leaves math.Exp its FMA path: a change to
+// either definition that the kernel does not follow would otherwise turn
+// it off without a word.
+func TestTanhKernelRunsWithFMA(t *testing.T) {
+	if !cpufeat.AVX2() || !cpufeat.FMA() {
+		t.Skip("the CPU lacks AVX2 or FMA")
+	}
+	for _, opt := range strings.Split(os.Getenv("GODEBUG"), ",") {
+		switch opt {
+		case "cpu.all=off", "cpu.avx=off", "cpu.fma=off":
+			t.Skipf("GODEBUG %s moves math.Exp off its FMA path", opt)
+		}
+	}
+	if !useTanhKernel {
+		t.Fatal("the CPU has AVX2 and FMA but the probe rejects the tanh kernel")
 	}
 }
 
@@ -442,5 +558,20 @@ func BenchmarkFitStep(b *testing.B) {
 				st.step(idx)
 			}
 		})
+	}
+}
+
+// BenchmarkTanhRows times tanhRows over 4096 values, the tanh count of
+// one acquisition-shaped step (batch 64, two hidden layers of 32).
+func BenchmarkTanhRows(b *testing.B) {
+	g := rng.New(3)
+	src, dst := make([]float64, 4096), make([]float64, 4096)
+	for i := range src {
+		src[i] = 4 * g.NormFloat64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tanhRows(dst, src)
 	}
 }

@@ -256,44 +256,39 @@ func sumRowsGo(dst, a, src []float64) {
 }
 
 // Activation is an elementwise nonlinearity with derivative computed from
-// the cached forward output.
+// the cached forward output. Name selects it: "relu", "tanh" or
+// "sigmoid", the kind a serialized network records.
 type Activation struct {
 	Name  string
-	fn    func(float64) float64
-	deriv func(y float64) float64 // derivative expressed in terms of output y
 	lastY *mat.Matrix
 	out   mat.Matrix // Forward's workspace, dropped by release
 }
 
 // ReLU returns a rectified linear activation layer.
-func ReLU() *Activation {
-	return &Activation{
-		Name: "relu",
-		fn:   func(x float64) float64 { return math.Max(0, x) },
-		deriv: func(y float64) float64 {
-			if y > 0 {
-				return 1
-			}
-			return 0
-		},
-	}
-}
+func ReLU() *Activation { return &Activation{Name: "relu"} }
 
 // Tanh returns a hyperbolic tangent activation layer.
-func Tanh() *Activation {
-	return &Activation{
-		Name:  "tanh",
-		fn:    math.Tanh,
-		deriv: func(y float64) float64 { return 1 - y*y },
-	}
-}
+func Tanh() *Activation { return &Activation{Name: "tanh"} }
 
 // Sigmoid returns a logistic activation layer.
-func Sigmoid() *Activation {
-	return &Activation{
-		Name:  "sigmoid",
-		fn:    func(x float64) float64 { return 1 / (1 + math.Exp(-x)) },
-		deriv: func(y float64) float64 { return y * (1 - y) },
+func Sigmoid() *Activation { return &Activation{Name: "sigmoid"} }
+
+// apply sets y[i] to the nonlinearity of x[i] for every i < len(y).
+func (a *Activation) apply(y, x []float64) {
+	x = x[:len(y)]
+	switch a.Name {
+	case "tanh":
+		tanhRows(y, x)
+	case "relu":
+		for i, v := range x {
+			y[i] = math.Max(0, v)
+		}
+	case "sigmoid":
+		for i, v := range x {
+			y[i] = 1 / (1 + math.Exp(-v))
+		}
+	default:
+		panic("nn: unknown activation")
 	}
 }
 
@@ -301,21 +296,21 @@ func Sigmoid() *Activation {
 // workspace.
 func (a *Activation) Forward(x *mat.Matrix) *mat.Matrix {
 	a.lastY = a.out.Reuse(x.Dims())
-	y := a.lastY.RawData()
-	for i, v := range x.RawData() {
-		y[i] = a.fn(v)
-	}
+	a.apply(a.lastY.RawData(), x.RawData())
 	return a.lastY
 }
 
 // Infer applies the nonlinearity into a fresh matrix without caching the
 // output for Backward.
 func (a *Activation) Infer(x *mat.Matrix) *mat.Matrix {
-	return x.Apply(a.fn)
+	y := mat.New(x.Dims())
+	a.apply(y.RawData(), x.RawData())
+	return y
 }
 
 // Backward scales the upstream gradient by the local derivative, in
-// place, and returns it.
+// place, and returns it. The derivative is expressed in the output y:
+// 1 − y² for tanh, y(1 − y) for the sigmoid, 1 or 0 for ReLU.
 func (a *Activation) Backward(grad *mat.Matrix) *mat.Matrix {
 	if a.lastY == nil {
 		panic("nn: Activation backward before forward")
@@ -324,8 +319,26 @@ func (a *Activation) Backward(grad *mat.Matrix) *mat.Matrix {
 		panic("nn: Activation backward gradient shape differs from its forward output")
 	}
 	g := grad.RawData()
-	for i, y := range a.lastY.RawData()[:len(g)] {
-		g[i] *= a.deriv(y)
+	ys := a.lastY.RawData()[:len(g)]
+	switch a.Name {
+	case "tanh":
+		for i, y := range ys {
+			g[i] *= 1 - y*y
+		}
+	case "relu":
+		for i, y := range ys {
+			d := 0.0
+			if y > 0 {
+				d = 1
+			}
+			g[i] *= d
+		}
+	case "sigmoid":
+		for i, y := range ys {
+			g[i] *= y * (1 - y)
+		}
+	default:
+		panic("nn: unknown activation")
 	}
 	return grad
 }

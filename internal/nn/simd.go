@@ -7,16 +7,25 @@ import (
 )
 
 // Kernel selection. sumRows (every Dense product of the training step:
-// the forward pass over Wᵀ, ∂W and ∂x) and the Adam update have two
-// implementations that give the same bits: the Go code, which is the
-// definition and runs everywhere, and an amd64 AVX2 assembly kernel
-// (simd_amd64.s) that repeats it operation for operation with separate
-// multiplies and adds. An init probe runs the kernels against the Go code
-// and keeps them only if every probed value matches bit for bit.
+// the forward pass over Wᵀ, ∂W and ∂x), the Adam update and the tanh
+// activation have two implementations that give the same bits: the Go
+// code, which is the definition and runs everywhere, and an amd64
+// assembly kernel (simd_amd64.s) that repeats it operation for
+// operation. Init probes run the kernels against the Go code and keep
+// them only if every probed value matches bit for bit.
+//
+// The kernels have two gates. sumRows and Adam need AVX2 and fuse
+// nothing. tanh also needs FMA: its exp repeats math.Exp's FMA path, so
+// it equals math.Tanh only while math.Exp takes that path, and its probe
+// turns it off when it does not (GODEBUG=cpu.fma=off, for example).
 
-// useKernel reports whether the training step runs the assembly kernels.
-// Tests set it to false to run the Go code.
+// useKernel reports whether the training step runs the sumRows and Adam
+// kernels. Tests set it to false to run the Go code.
 var useKernel = cpufeat.AVX2() && kernelMatches(sumRowsAsm, adamAsm)
+
+// useTanhKernel reports whether tanhRows runs the tanh kernel. Tests set
+// it to false to run math.Tanh.
+var useTanhKernel = cpufeat.AVX2() && cpufeat.FMA() && tanhMatches(tanhAsm)
 
 // sumRows sets dst = Σ_t a[t]·src[t] exactly as sumRowsGo defines it.
 func sumRows(dst, a, src []float64) {
@@ -89,6 +98,59 @@ func kernelMatches(sum func(dst, a, src []float64), adam func(val, grad, m, v []
 			if !sameBits(k[i][:n], g[i][:n]) {
 				return false
 			}
+		}
+	}
+	return true
+}
+
+// tanhRows sets dst[i] = math.Tanh(src[i]) for every i < len(dst).
+func tanhRows(dst, src []float64) {
+	src = src[:len(dst)]
+	if useTanhKernel {
+		tanhAsm(dst, src)
+		return
+	}
+	for i, x := range src {
+		dst[i] = math.Tanh(x)
+	}
+}
+
+// tanhSaturates is math.tanh's 0.5·MAXLOG: above it tanh returns ±1,
+// from 0.625 up to it tanh goes through exp.
+const tanhSaturates = 0.5 * 8.8029691931113054295988e+01
+
+// tanhMatches reports whether tanh equals math.Tanh bit for bit on probe
+// values: ±0, subnormals, NaN and ±Inf, both sides of the branch points
+// 0.625 and tanhSaturates, 256 values in the rational branch and 48 in
+// the exp branch with alternating signs, and four inputs whose tanh
+// differs between math.Exp's FMA and non-FMA paths (a few percent of
+// inputs below 2 do, almost none above 4), so the kernel turns off when
+// math.Exp leaves its FMA path. The last three values also run alone,
+// through the one-element tail. The probe takes a few microseconds.
+func tanhMatches(tanh func(dst, src []float64)) bool {
+	xs := []float64{0, math.Copysign(0, -1), 5e-324, -0x1p-1022, math.NaN(), math.Inf(1), math.Inf(-1),
+		0.625039375, -1.000485, 2.00013, -4.34352}
+	for _, b := range []float64{0.625, tanhSaturates} {
+		xs = append(xs, b, -math.Nextafter(b, 0), math.Nextafter(b, 100))
+	}
+	for i := 1; i <= 256; i++ {
+		sign := 1.0
+		if i%2 == 0 {
+			sign = -1
+		}
+		xs = append(xs, sign*float64(i)/410)
+		if i <= 48 {
+			xs = append(xs, sign*(0.625+float64(i*i)/53))
+		}
+	}
+	want, got := make([]float64, len(xs)), make([]float64, len(xs))
+	for i, x := range xs {
+		want[i] = math.Tanh(x)
+	}
+	for lo := 0; lo < len(xs); lo = max(lo+1, len(xs)-3) {
+		tanh(got[lo:], xs[lo:])
+		if !sameBits(got[lo:], want[lo:]) {
+			return false
 		}
 	}
 	return true

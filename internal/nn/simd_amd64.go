@@ -9,3 +9,6 @@ func sumRowsAsm(dst, a, src []float64)
 
 //go:noescape
 func adamAsm(val, grad, m, v []float64, c *adamCoef)
+
+//go:noescape
+func tanhAsm(dst, src []float64)

@@ -266,3 +266,146 @@ adam1:
 adamdone:
 	VZEROUPPER
 	RET
+
+// tanhconst holds each constant of the tanh kernel four times, one ymm
+// load each.
+#define T4(off, v) \
+	DATA tanhconst<>+(off)(SB)/8, v; \
+	DATA tanhconst<>+(off+8)(SB)/8, v; \
+	DATA tanhconst<>+(off+16)(SB)/8, v; \
+	DATA tanhconst<>+(off+24)(SB)/8, v
+
+T4(0, $0x8000000000000000)     // sign bit
+T4(32, $0x7fffffffffffffff)    // all but the sign bit
+T4(64, $1.0)
+T4(96, $2.0)
+T4(128, $0.625)
+T4(160, $0x404601e678fc457b)   // 0.5·MAXLOG, as math.tanh rounds it
+T4(192, $1.4426950408889634073599246810018920) // log2(e)
+T4(224, $0.69314718055966295651160180568695068359375) // upper half of ln 2
+T4(256, $0.28235290563031577122588448175013436025525412068e-12) // lower half of ln 2
+T4(288, $0.0625)
+T4(320, $2.4801587301587301587e-5)
+T4(352, $1.9841269841269841270e-4)
+T4(384, $1.3888888888888888889e-3)
+T4(416, $8.3333333333333333333e-3)
+T4(448, $4.1666666666666666667e-2)
+T4(480, $1.6666666666666666667e-1)
+T4(512, $0.5)
+T4(544, $1023)                 // exponent bias, as int64
+T4(576, $-9.64399179425052238628e-1) // tanhP
+T4(608, $-9.92877231001918586564e1)
+T4(640, $-1.61468768441708447952e3)
+T4(672, $1.12811678491632931402e2) // tanhQ
+T4(704, $2.23548839060100448583e3)
+T4(736, $4.84406305325125486048e3)
+GLOBL tanhconst<>(SB), RODATA, $768
+
+// TANH replaces the four values in Y0 with math.Tanh of them. It uses
+// Y1–Y9. Both branches of math.tanh run on every lane and the lane's
+// own branch is blended in, so NaN, ±Inf and ±0 end where Go sends them:
+//
+//	z = |x|
+//	z > 0.5·MAXLOG:  ±1 with the sign of x
+//	z ≥ 0.625:       1 − 2/(exp(2z) + 1) with the sign of x
+//	x == 0:          x
+//	otherwise:       x + x·s·P(s)/Q(s), s = x·x, in Go's order
+//
+// exp is math/exp_amd64.s's FMA path, the only place this file fuses:
+// n = round(x·log2e); x −= n·ln2u; x −= n·ln2l; x /= 16; a Taylor
+// polynomial in fused steps; three doublings x·(x + 2) and a fused last
+// step; result·2ⁿ. A lane that takes the exp branch has 2z in
+// [1.25, 88.03], where that routine needs no range fallback.
+#define TANH \
+	VANDPD       tanhconst<>+32(SB), Y0, Y1; \
+	VADDPD       Y1, Y1, Y2; \
+	VMULPD       tanhconst<>+192(SB), Y2, Y3; \
+	VCVTPD2DQY   Y3, X8; \
+	VCVTDQ2PD    X8, Y3; \
+	VFNMADD231PD tanhconst<>+224(SB), Y3, Y2; \
+	VFNMADD231PD tanhconst<>+256(SB), Y3, Y2; \
+	VMULPD       tanhconst<>+288(SB), Y2, Y2; \
+	VMOVUPD      tanhconst<>+320(SB), Y4; \
+	VFMADD213PD  tanhconst<>+352(SB), Y2, Y4; \
+	VFMADD213PD  tanhconst<>+384(SB), Y2, Y4; \
+	VFMADD213PD  tanhconst<>+416(SB), Y2, Y4; \
+	VFMADD213PD  tanhconst<>+448(SB), Y2, Y4; \
+	VFMADD213PD  tanhconst<>+480(SB), Y2, Y4; \
+	VFMADD213PD  tanhconst<>+512(SB), Y2, Y4; \
+	VFMADD213PD  tanhconst<>+64(SB), Y2, Y4; \
+	VMULPD       Y4, Y2, Y2; \
+	VADDPD       tanhconst<>+96(SB), Y2, Y4; \
+	VMULPD       Y4, Y2, Y2; \
+	VADDPD       tanhconst<>+96(SB), Y2, Y4; \
+	VMULPD       Y4, Y2, Y2; \
+	VADDPD       tanhconst<>+96(SB), Y2, Y4; \
+	VMULPD       Y4, Y2, Y2; \
+	VADDPD       tanhconst<>+96(SB), Y2, Y4; \
+	VFMADD213PD  tanhconst<>+64(SB), Y4, Y2; \
+	VPMOVSXDQ    X8, Y8; \
+	VPADDQ       tanhconst<>+544(SB), Y8, Y8; \
+	VPSLLQ       $52, Y8, Y8; \
+	VMULPD       Y8, Y2, Y2; \
+	VADDPD       tanhconst<>+64(SB), Y2, Y2; \
+	VMOVUPD      tanhconst<>+96(SB), Y3; \
+	VDIVPD       Y2, Y3, Y3; \
+	VMOVUPD      tanhconst<>+64(SB), Y2; \
+	VSUBPD       Y3, Y2, Y2; \
+	VANDPD       tanhconst<>+0(SB), Y0, Y9; \
+	VXORPD       Y9, Y2, Y2; \
+	VMULPD       Y0, Y0, Y3; \
+	VMULPD       tanhconst<>+576(SB), Y3, Y4; \
+	VADDPD       tanhconst<>+608(SB), Y4, Y4; \
+	VMULPD       Y3, Y4, Y4; \
+	VADDPD       tanhconst<>+640(SB), Y4, Y4; \
+	VADDPD       tanhconst<>+672(SB), Y3, Y5; \
+	VMULPD       Y3, Y5, Y5; \
+	VADDPD       tanhconst<>+704(SB), Y5, Y5; \
+	VMULPD       Y3, Y5, Y5; \
+	VADDPD       tanhconst<>+736(SB), Y5, Y5; \
+	VMULPD       Y3, Y0, Y3; \
+	VMULPD       Y4, Y3, Y3; \
+	VDIVPD       Y5, Y3, Y3; \
+	VADDPD       Y3, Y0, Y3; \
+	VCMPPD       $0x1D, tanhconst<>+128(SB), Y1, Y4; \
+	VBLENDVPD    Y4, Y2, Y3, Y3; \
+	VORPD        tanhconst<>+64(SB), Y9, Y2; \
+	VCMPPD       $0x1E, tanhconst<>+160(SB), Y1, Y4; \
+	VBLENDVPD    Y4, Y2, Y3, Y3; \
+	VXORPD       Y5, Y5, Y5; \
+	VCMPPD       $0x00, Y5, Y0, Y4; \
+	VBLENDVPD    Y4, Y0, Y3, Y0
+
+// func tanhAsm(dst, src []float64)
+//
+// dst[i] = math.Tanh(src[i]) for i < len(dst), four elements per pass;
+// the tail goes one element at a time, broadcast to all four lanes with
+// the low lane stored. The caller checks len(src) >= len(dst).
+TEXT ·tanhAsm(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	XORQ R14, R14
+
+tanh4:
+	LEAQ    4(R14), BX
+	CMPQ    BX, CX
+	JGT     tanh1
+	VMOVUPD (SI)(R14*8), Y0
+	TANH
+	VMOVUPD Y0, (DI)(R14*8)
+	MOVQ    BX, R14
+	JMP     tanh4
+
+tanh1:
+	CMPQ         R14, CX
+	JGE          tanhdone
+	VBROADCASTSD (SI)(R14*8), Y0
+	TANH
+	VMOVSD       X0, (DI)(R14*8)
+	INCQ         R14
+	JMP          tanh1
+
+tanhdone:
+	VZEROUPPER
+	RET

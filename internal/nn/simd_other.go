@@ -11,3 +11,7 @@ func sumRowsAsm([]float64, []float64, []float64) {
 func adamAsm([]float64, []float64, []float64, []float64, *adamCoef) {
 	panic("nn: no assembly kernel on this architecture")
 }
+
+func tanhAsm([]float64, []float64) {
+	panic("nn: no assembly kernel on this architecture")
+}
