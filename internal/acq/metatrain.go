@@ -50,6 +50,13 @@ func (c *MetaConfig) defaults() {
 	}
 }
 
+// WithDefaults returns c with every unset field at its default: the
+// config MetaTrain actually runs.
+func (c MetaConfig) WithDefaults() MetaConfig {
+	c.defaults()
+	return c
+}
+
 // MetaTrain runs BO episodes on the training pool, collecting
 // (candidate features → realized improvement) tuples, and fits the neural
 // acquisition function to them.

@@ -57,6 +57,9 @@ var defaultMetaTaskRefs = []struct {
 
 // TrainToolkit trains all offline artifacts for a target GPU, which must
 // exist in the registry. The target is excluded from every training pool.
+// Parts another toolkit of this process already trained from the same
+// inputs (the embedding, the acquisition function, a training GPU's prior
+// targets) are reused, not retrained; the result is the same either way.
 func TrainToolkit(target string, cfg ToolkitConfig, g *rng.RNG) (*Toolkit, error) {
 	if _, err := hwspec.ByName(target); err != nil {
 		return nil, err
@@ -65,7 +68,7 @@ func TrainToolkit(target string, cfg ToolkitConfig, g *rng.RNG) (*Toolkit, error
 	if dim <= 0 {
 		dim = blueprint.DefaultDim()
 	}
-	emb, err := blueprint.Build(hwspec.Registry(), dim)
+	emb, ek, err := embedding(dim)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +123,8 @@ func TrainToolkit(target string, cfg ToolkitConfig, g *rng.RNG) (*Toolkit, error
 
 	// H and the acquisition function are independent and each draws from
 	// its own Split stream, so they train concurrently (serially at one
-	// worker) with byte-identical results.
+	// worker) with byte-identical results. Both take the parts they share
+	// with other toolkits from the memo (parts.go).
 	var (
 		priorModel *prior.Model
 		neural     *acq.Neural
@@ -128,9 +132,9 @@ func TrainToolkit(target string, cfg ToolkitConfig, g *rng.RNG) (*Toolkit, error
 	)
 	parallel.For(0, 2, func(i int) {
 		if i == 0 {
-			priorModel, errs[0] = prior.Train(emb, pool, priorTasks, cfg.Prior, g.Split("prior"))
+			priorModel, errs[0] = trainPrior(emb, pool, priorTasks, cfg.Prior, g.Split("prior"))
 		} else {
-			neural, errs[1] = acq.MetaTrain(emb, metaPool, metaTasks, cfg.Meta, g.Split("meta"))
+			neural, errs[1] = metaTrain(emb, ek, metaPool, metaTasks, cfg.Meta, g.Split("meta"))
 		}
 	})
 	for _, err := range errs {

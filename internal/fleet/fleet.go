@@ -94,8 +94,8 @@ type Config struct {
 	// GenerateKernels embeds generated kernel source in the plan.
 	GenerateKernels bool
 	// Checkpoint, when set, records each completed task and lets a
-	// resumed session skip tasks already recorded for (model, gpu) under
-	// the same Budget.
+	// resumed session skip tasks already recorded for the same run: model,
+	// GPU, tuner name, task seed and Budget (CheckpointKey).
 	Checkpoint *Checkpoint
 	// Cache, when set, is consulted before each task is dispatched: an
 	// exact (fingerprint, device) hit serves the stored best configuration
@@ -167,8 +167,18 @@ func TuneTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (
 		}
 	}
 
+	// A checkpoint keys on the tuner's name, so it needs the tuner before
+	// the lookup; without one the tuner is built only if a session runs.
+	var tn tuner.Tuner
+	var ckKey CheckpointKey
 	if cfg.Checkpoint != nil {
-		if tp, ok := cfg.Checkpoint.Lookup(cfg.Model, m.DeviceName(), task.Name(), cfg.Budget); ok {
+		var err error
+		if tn, err = cfg.NewTuner(task, m.DeviceName()); err != nil {
+			return failed(err), nil
+		}
+		ckKey = CheckpointKey{Model: cfg.Model, GPU: m.DeviceName(), Tuner: tn.Name(),
+			Task: task.Name(), Seed: g.Seed(), Budget: cfg.Budget}
+		if tp, ok := cfg.Checkpoint.Lookup(ckKey); ok {
 			tp.FromCheckpoint = true
 			tsp.SetAttr("outcome", "resumed")
 			return tp, nil
@@ -227,9 +237,10 @@ func TuneTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (
 		}
 	}
 
-	tn, err := cfg.NewTuner(task, m.DeviceName())
-	if err != nil {
-		return failed(err), nil
+	if tn == nil {
+		if tn, err = cfg.NewTuner(task, m.DeviceName()); err != nil {
+			return failed(err), nil
+		}
 	}
 	// Parent the tuner's step/measure spans under this task span, and
 	// bind the measurer chain so remote endpoints record their side under
@@ -280,7 +291,7 @@ func TuneTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (
 	if cfg.Checkpoint != nil {
 		csp, _ := cfg.Tracer.StartSpan(taskSC, telemetry.StageCheckpoint)
 		csp.SetAttr("task", task.Name())
-		err := cfg.Checkpoint.Append(cfg.Model, m.DeviceName(), cfg.Budget, tp)
+		err := cfg.Checkpoint.Append(ckKey, tp)
 		csp.End()
 		if err != nil {
 			return tp, fmt.Errorf("fleet: checkpoint %s: %w", task.Name(), err)

@@ -307,7 +307,7 @@ func TestCheckpointSurvivesTruncatedTail(t *testing.T) {
 		{TaskName: "alexnet/conv-3", TaskIndex: 3, ConfigIndex: 9, GFLOPS: 75, TimeMS: 3},
 	}
 	for _, tp := range plans {
-		if err := ck.Append(workload.AlexNet, hwspec.TitanXp, testBudget, tp); err != nil {
+		if err := ck.Append(testKey(tp.TaskName), tp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +341,7 @@ func TestCheckpointSurvivesTruncatedTail(t *testing.T) {
 		if ck2.Len() != kept {
 			t.Fatalf("offset %d: loaded %d entries, want %d", off, ck2.Len(), kept)
 		}
-		if err := ck2.Append(workload.AlexNet, hwspec.TitanXp, testBudget, next); err != nil {
+		if err := ck2.Append(testKey(next.TaskName), next); err != nil {
 			t.Fatal(err)
 		}
 		if err := ck2.Close(); err != nil {
@@ -352,7 +352,7 @@ func TestCheckpointSurvivesTruncatedTail(t *testing.T) {
 			t.Fatalf("offset %d: reopen after repair+append: %v", off, err)
 		}
 		for _, tp := range append(plans[:kept:kept], next) {
-			got, ok := ck3.Lookup(workload.AlexNet, hwspec.TitanXp, tp.TaskName, testBudget)
+			got, ok := ck3.Lookup(testKey(tp.TaskName))
 			if !ok || !reflect.DeepEqual(got, tp) {
 				t.Fatalf("offset %d: %s reloaded as %+v (found=%v), want %+v", off, tp.TaskName, got, ok, tp)
 			}
@@ -374,19 +374,25 @@ func TestCheckpointIgnoresFailedPlans(t *testing.T) {
 	}
 	defer ck.Close()
 	bad := TaskPlan{TaskName: "x", TaskIndex: 1, Failed: true, Error: "boom"}
-	if err := ck.Append(workload.AlexNet, hwspec.TitanXp, testBudget, bad); err != nil {
+	if err := ck.Append(testKey(bad.TaskName), bad); err != nil {
 		t.Fatal(err)
 	}
 	if ck.Len() != 0 {
 		t.Fatal("failed task checkpointed")
 	}
-	if _, ok := ck.Lookup(workload.AlexNet, hwspec.TitanXp, "x", testBudget); ok {
+	if _, ok := ck.Lookup(testKey("x")); ok {
 		t.Fatal("failed task resumable")
 	}
 }
 
 // testBudget is the budget the checkpoint unit tests record plans under.
 var testBudget = tuner.Budget{MaxMeasurements: 16}
+
+// testKey is the run key the checkpoint unit tests record a task under.
+func testKey(task string) CheckpointKey {
+	return CheckpointKey{Model: workload.AlexNet, GPU: hwspec.TitanXp, Tuner: "random",
+		Task: task, Seed: 1, Budget: testBudget}
+}
 
 // TestTuneTaskCheckpointKeysOnBudget reruns a checkpointed task under
 // another budget: it must tune again, not serve the plan measured under
@@ -424,17 +430,73 @@ func TestTuneTaskCheckpointKeysOnBudget(t *testing.T) {
 		t.Fatalf("budget 16 rerun: plan %+v, want the checkpointed one", tp)
 	}
 
-	legacy := filepath.Join(t.TempDir(), "legacy.jsonl")
-	line := `{"model":"alexnet","gpu":"titan-xp","task":{"task":"` + task.Name() + `","gflops":1}}` + "\n"
-	if err := os.WriteFile(legacy, []byte(line), 0o644); err != nil {
-		t.Fatal(err)
+	// Lines written before the budget, and then the tuner and seed, were
+	// recorded serve nothing, not even the run that would match them.
+	key := CheckpointKey{Model: workload.AlexNet, GPU: hwspec.TitanXp, Tuner: "random",
+		Task: task.Name(), Seed: 3, Budget: tuner.Budget{MaxMeasurements: 16}}
+	if _, ok := ck.Lookup(key); !ok {
+		t.Fatalf("the budget-16 run is not checkpointed under %+v", key)
 	}
-	old, err := OpenCheckpoint(legacy)
+	for _, line := range []string{
+		`{"model":"alexnet","gpu":"titan-xp","task":{"task":"` + task.Name() + `","gflops":1}}`,
+		`{"model":"alexnet","gpu":"titan-xp","budget":{"MaxMeasurements":16,"MaxGPUSeconds":0,"Patience":0,"Epsilon":0},"task":{"task":"` + task.Name() + `","gflops":1}}`,
+	} {
+		legacy := filepath.Join(t.TempDir(), "legacy.jsonl")
+		if err := os.WriteFile(legacy, []byte(line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		old, err := OpenCheckpoint(legacy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := old.Lookup(key); ok {
+			t.Fatalf("a line without a budget, tuner or seed served a lookup: %s", line)
+		}
+		if err := old.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTuneTaskCheckpointKeysOnTunerAndSeed reruns a checkpointed task
+// with another tuner and with another task seed: each must tune afresh,
+// not be served the first run's plan, while a rerun of the first run
+// still resumes.
+func TestTuneTaskCheckpointKeysOnTunerAndSeed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	ck, err := OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer old.Close()
-	if _, ok := old.Lookup(workload.AlexNet, hwspec.TitanXp, task.Name(), tuner.Budget{MaxMeasurements: 16}); ok {
-		t.Fatal("a line without a budget served a lookup")
+	defer ck.Close()
+	task := subset(t, workload.AlexNet, 2)[0]
+	run := func(tn tuner.Tuner, seed int64) TaskPlan {
+		t.Helper()
+		cfg := Config{
+			Model:  workload.AlexNet,
+			Budget: tuner.Budget{MaxMeasurements: 16},
+			NewTuner: func(workload.Task, string) (tuner.Tuner, error) {
+				return tn, nil
+			},
+			Checkpoint: ck,
+		}
+		tp, err := TuneTask(&cfg, measure.MustNewLocal(hwspec.TitanXp), task, rng.New(seed))
+		if err != nil || tp.Failed {
+			t.Fatalf("%s seed %d: plan %+v, err %v", tn.Name(), seed, tp, err)
+		}
+		return tp
+	}
+	first := run(tuner.Random{}, 3)
+	if first.FromCheckpoint {
+		t.Fatalf("first run resumed from an empty checkpoint: %+v", first)
+	}
+	if tp := run(tuner.AutoTVM{}, 3); tp.FromCheckpoint {
+		t.Fatalf("autotvm rerun was served the random tuner's plan %+v", tp)
+	}
+	if tp := run(tuner.Random{}, 4); tp.FromCheckpoint {
+		t.Fatalf("seed-4 rerun was served the seed-3 plan %+v", tp)
+	}
+	if tp := run(tuner.Random{}, 3); !tp.FromCheckpoint || tp.ConfigIndex != first.ConfigIndex {
+		t.Fatalf("rerun of the first run: plan %+v, want the checkpointed %+v", tp, first)
 	}
 }

@@ -14,7 +14,6 @@
 package gpusim
 
 import (
-	"hash/fnv"
 	"math"
 
 	"github.com/neuralcompile/glimpse/internal/hwspec"
@@ -114,19 +113,11 @@ func (d *Device) CheckValid(res space.Resources) (bool, string) {
 	return true, ""
 }
 
-// noise returns a deterministic lognormal factor keyed by device, task,
-// and configuration index, so the "hardware" is reproducible yet rugged.
-func (d *Device) noise(taskName string, cfgIdx int64) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(d.Spec.Name))
-	h.Write([]byte{0})
-	h.Write([]byte(taskName))
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(cfgIdx >> (8 * i))
-	}
-	h.Write(buf[:])
-	u := h.Sum64()
+// noise returns a deterministic lognormal factor keyed by device, task
+// (its name followed by suffix), and configuration index, so the
+// "hardware" is reproducible yet rugged.
+func (d *Device) noise(taskName, suffix string, cfgIdx int64) float64 {
+	u := d.noiseHash(taskName, suffix, cfgIdx)
 	// Two uniforms from the hash → one standard normal (Box–Muller).
 	u1 := float64(u>>11) / float64(1<<53)
 	u2 := float64((u*0x9E3779B97F4A7C15)>>11) / float64(1<<53)
@@ -135,4 +126,21 @@ func (d *Device) noise(taskName string, cfgIdx int64) float64 {
 	}
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return math.Exp(d.NoiseSigma * z)
+}
+
+// noiseHash is the 64-bit FNV-1a hash of the device name, a zero byte,
+// the task name, the suffix and the index's eight little-endian bytes,
+// computed inline so that a measurement allocates nothing.
+func (d *Device) noiseHash(taskName, suffix string, cfgIdx int64) uint64 {
+	const prime64 = 1099511628211
+	u := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, s := range [...]string{d.Spec.Name, "\x00", taskName, suffix} {
+		for i := 0; i < len(s); i++ {
+			u = (u ^ uint64(s[i])) * prime64
+		}
+	}
+	for i := 0; i < 8; i++ {
+		u = (u ^ uint64(byte(cfgIdx>>(8*i)))) * prime64
+	}
+	return u
 }

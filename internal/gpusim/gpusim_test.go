@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -227,20 +228,20 @@ func TestDenseTaskMeasurable(t *testing.T) {
 func TestNoiseBoundedAndKeyed(t *testing.T) {
 	d := NewDevice(hwspec.MustByName(hwspec.TitanXp))
 	// Different config indices produce different noise; magnitudes stay tame.
-	a := d.noise("task", 1)
-	b := d.noise("task", 2)
+	a := d.noise("task", "", 1)
+	b := d.noise("task", "", 2)
 	if a == b {
 		t.Fatal("noise not keyed by config")
 	}
 	for i := int64(0); i < 2000; i++ {
-		v := d.noise("task", i)
+		v := d.noise("task", "", i)
 		if v < 0.7 || v > 1.4 {
 			t.Fatalf("noise %g outside [0.7, 1.4] at %d", v, i)
 		}
 	}
 	// Keyed by device too.
 	d2 := NewDevice(hwspec.MustByName(hwspec.RTX3090))
-	if d.noise("task", 7) == d2.noise("task", 7) {
+	if d.noise("task", "", 7) == d2.noise("task", "", 7) {
 		t.Fatal("noise not keyed by device")
 	}
 }
@@ -253,5 +254,34 @@ func TestMeasureIndexMatchesMeasure(t *testing.T) {
 	idx := sp.RandomIndex(g)
 	if a, b := d.MeasureIndex(task, sp, idx), d.Measure(task, sp, sp.FromIndex(idx)); a != b {
 		t.Fatalf("MeasureIndex %+v != Measure %+v", a, b)
+	}
+}
+
+// TestNoiseHashMatchesFNV pins the inline noise hash to hash/fnv's
+// FNV-1a over the key bytes the simulator has always hashed: device name,
+// a zero byte, task name plus suffix, and the little-endian index.
+func TestNoiseHashMatchesFNV(t *testing.T) {
+	d := NewDevice(hwspec.MustByName(hwspec.RTX3090))
+	for _, c := range []struct {
+		task, suffix string
+		idx          int64
+	}{
+		{"resnet-18.L7.conv2d", "", 0},
+		{"resnet-18.L7.conv2d", "!cost", 123456789},
+		{"alexnet.L11.dense", "!cost", -1},
+		{"", "", 1 << 62},
+	} {
+		h := fnv.New64a()
+		h.Write([]byte(d.Spec.Name))
+		h.Write([]byte{0})
+		h.Write([]byte(c.task + c.suffix))
+		var buf [8]byte
+		for i := range buf {
+			buf[i] = byte(c.idx >> (8 * i))
+		}
+		h.Write(buf[:])
+		if got, want := d.noiseHash(c.task, c.suffix, c.idx), h.Sum64(); got != want {
+			t.Fatalf("noiseHash(%q, %q, %d) = %#x want %#x", c.task, c.suffix, c.idx, got, want)
+		}
 	}
 }

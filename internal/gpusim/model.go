@@ -23,16 +23,16 @@ func (d *Device) Measure(task workload.Task, sp *space.Space, cfg space.Config) 
 		return Result{
 			Valid:      false,
 			FailReason: reason,
-			CostSec:    1.2 * d.noise(task.Name()+"!cost", idx),
+			CostSec:    1.2 * d.noise(task.Name(), "!cost", idx),
 		}
 	}
 
 	timeSec := d.kernelTime(task, sp, res)
-	timeSec *= d.noise(task.Name(), idx)
+	timeSec *= d.noise(task.Name(), "", idx)
 
 	gflops := float64(task.FLOPs()) / timeSec / 1e9
 	// Measurement wall-clock: compile + transfer + repeated timed runs.
-	cost := (2.2 + math.Min(1.5, timeSec*1e3*0.3)) * d.noise(task.Name()+"!cost", idx)
+	cost := (2.2 + math.Min(1.5, timeSec*1e3*0.3)) * d.noise(task.Name(), "!cost", idx)
 	return Result{Valid: true, TimeMS: timeSec * 1e3, GFLOPS: gflops, CostSec: cost}
 }
 

@@ -51,25 +51,19 @@ type Dense struct {
 	In, Out int
 	W       *mat.Matrix // Out×In
 	B       *mat.Matrix // 1×Out
-	gradW   *mat.Matrix
-	gradB   *mat.Matrix
 
-	// Training workspaces, sized by the batch and dropped by release.
-	lastX       *mat.Matrix
-	wt, out, dx mat.Matrix // Wᵀ, the output and the input gradient
-	col         []float64  // one column of the upstream gradient
-	acc         []float64  // one row of gradᵀ·x before it joins gradW
+	// Training workspaces, allocated on first use and dropped by release:
+	// the parameter gradients, and buffers sized by the batch.
+	gradW, gradB *mat.Matrix
+	lastX        *mat.Matrix
+	wt, out, dx  mat.Matrix // Wᵀ, the output and the input gradient
+	col          []float64  // one column of the upstream gradient
+	acc          []float64  // one row of gradᵀ·x before it joins gradW
 }
 
 // NewDense builds a dense layer with Glorot-uniform initial weights.
 func NewDense(in, out int, g *rng.RNG) *Dense {
-	d := &Dense{
-		In: in, Out: out,
-		W:     mat.New(out, in),
-		B:     mat.New(1, out),
-		gradW: mat.New(out, in),
-		gradB: mat.New(1, out),
-	}
+	d := &Dense{In: in, Out: out, W: mat.New(out, in), B: mat.New(1, out)}
 	limit := math.Sqrt(6.0 / float64(in+out))
 	for i := 0; i < out; i++ {
 		for j := 0; j < in; j++ {
@@ -135,6 +129,7 @@ func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
 	if d.acc == nil {
 		d.acc = make([]float64, d.In)
 	}
+	d.grads()
 	col, acc, g := d.col[:n], d.acc, grad.RawData()
 	xd := d.lastX.RawData()
 	for j := 0; j < d.Out; j++ {
@@ -161,13 +156,25 @@ func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
 	return dx
 }
 
-// release drops the training workspaces and the cached input.
+// grads allocates the zeroed parameter gradients if release dropped
+// them or none were made yet.
+func (d *Dense) grads() {
+	if d.gradW == nil {
+		d.gradW, d.gradB = mat.New(d.Out, d.In), mat.New(1, d.Out)
+	}
+}
+
+// release drops the training workspaces, gradients included, and the
+// cached input, so the layer keeps only W and b.
 func (d *Dense) release() {
+	d.gradW, d.gradB = nil, nil
 	d.lastX, d.wt, d.out, d.dx, d.col, d.acc = nil, mat.Matrix{}, mat.Matrix{}, mat.Matrix{}, nil, nil
 }
 
-// Params exposes the weights and bias to the optimizer.
+// Params exposes the weights and bias to the optimizer, allocating their
+// gradients on first use.
 func (d *Dense) Params() []Param {
+	d.grads()
 	return []Param{{d.W, d.gradW}, {d.B, d.gradB}}
 }
 

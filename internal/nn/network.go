@@ -65,8 +65,8 @@ func (n *Network) Backward(grad *mat.Matrix) *mat.Matrix {
 	return grad
 }
 
-// release drops every layer's training workspaces and cached batch, so a
-// trained network holds only its parameters and gradients.
+// release drops every layer's training workspaces, gradients and cached
+// batch, so a trained network holds only its parameters.
 func (n *Network) release() {
 	for _, l := range n.Layers {
 		if r, ok := l.(interface{ release() }); ok {
@@ -84,19 +84,22 @@ func (n *Network) Params() []Param {
 	return out
 }
 
-// ZeroGrad clears all accumulated gradients.
+// ZeroGrad clears all accumulated gradients, allocating them zeroed if
+// they are not held.
 func (n *Network) ZeroGrad() {
 	for _, p := range n.Params() {
 		p.Grad.ScaleInPlace(0)
 	}
 }
 
-// NumParams returns the total scalar parameter count.
+// NumParams returns the total scalar parameter count. It reads the dense
+// layers' shapes, so it allocates no gradients.
 func (n *Network) NumParams() int {
 	total := 0
-	for _, p := range n.Params() {
-		r, c := p.Value.Dims()
-		total += r * c
+	for _, l := range n.Layers {
+		if d, ok := l.(*Dense); ok {
+			total += d.Out*d.In + d.Out
+		}
 	}
 	return total
 }
@@ -142,10 +145,8 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 		case "dense":
 			d := &Dense{
 				In: lj.In, Out: lj.Out,
-				W:     mat.NewFromRows(lj.W),
-				B:     mat.NewFromData(1, lj.Out, append([]float64(nil), lj.B...)),
-				gradW: mat.New(lj.Out, lj.In),
-				gradB: mat.New(1, lj.Out),
+				W: mat.NewFromRows(lj.W),
+				B: mat.NewFromData(1, lj.Out, append([]float64(nil), lj.B...)),
 			}
 			n.Layers = append(n.Layers, d)
 		case "relu":

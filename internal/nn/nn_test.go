@@ -220,3 +220,53 @@ func TestNumParams(t *testing.T) {
 		t.Fatalf("NumParams = %d want 26", got)
 	}
 }
+
+// TestGradientsAreTrainingWorkspaces checks that a built, trained or
+// loaded network holds no gradient buffers, and that Params and Backward
+// allocate them zeroed on first use.
+func TestGradientsAreTrainingWorkspaces(t *testing.T) {
+	noGrads := func(stage string, net *Network) {
+		t.Helper()
+		for i, l := range net.Layers {
+			if d, ok := l.(*Dense); ok && (d.gradW != nil || d.gradB != nil) {
+				t.Fatalf("%s: layer %d holds gradients", stage, i)
+			}
+		}
+	}
+	g := rng.New(5)
+	net := NewMLP([]int{3, 4, 2}, Tanh, g)
+	noGrads("NewMLP", net)
+
+	x := mat.NewFromRows([][]float64{{0.5, -0.3, 0.8}, {0.1, 0.9, -0.2}, {0.4, 0, 0.3}})
+	y := mat.NewFromRows([][]float64{{1, 0}, {0, 1}, {0.5, 0.5}})
+	Fit(net, x, y, TrainConfig{Epochs: 3, BatchSize: 2}, g.Split("fit"))
+	noGrads("Fit", net)
+
+	data, err := json.Marshal(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored Network
+	if err := json.Unmarshal(data, &restored); err != nil {
+		t.Fatal(err)
+	}
+	noGrads("UnmarshalJSON", &restored)
+	if restored.NumParams() != 26 {
+		t.Fatalf("NumParams = %d want 26", restored.NumParams())
+	}
+	noGrads("NumParams", &restored)
+
+	for i, p := range restored.Params() {
+		for _, v := range p.Grad.RawData() {
+			if v != 0 {
+				t.Fatalf("param %d: fresh gradient holds %g", i, v)
+			}
+		}
+	}
+	d := NewDense(3, 2, g)
+	d.Forward(x)
+	d.Backward(mat.New(3, 2))
+	if d.gradW == nil || d.gradB == nil {
+		t.Fatal("Backward did not allocate the gradients")
+	}
+}

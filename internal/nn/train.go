@@ -24,7 +24,7 @@ type TrainConfig struct {
 // Fit trains the network on (x, y) pairs with mini-batch gradient descent.
 // It returns the mean loss of the final epoch. A step allocates nothing
 // once the first batch has sized the buffers; when Fit returns, the
-// network keeps its parameters and gradients but no training workspace.
+// network keeps its parameters but no gradient or training workspace.
 func Fit(net *Network, x, y *mat.Matrix, cfg TrainConfig, g *rng.RNG) float64 {
 	if x.Rows() != y.Rows() {
 		panic(fmt.Sprintf("nn: Fit with %d inputs but %d targets", x.Rows(), y.Rows()))

@@ -55,37 +55,65 @@ func (c *DatasetConfig) defaults() {
 	}
 }
 
-// BuildDataset measures random configurations of every task on every
-// training GPU (the TenSet-like corpus [19]) and distills each (GPU, task)
-// pair into one training example for H.
-func BuildDataset(gpus []hwspec.Spec, emb *blueprint.Embedding, tasks []workload.Task,
-	cfg DatasetConfig, g *rng.RNG) ([]Example, error) {
+// WithDefaults returns c with every unset field at its default: the
+// config GPUTargets actually runs.
+func (c DatasetConfig) WithDefaults() DatasetConfig {
+	c.defaults()
+	return c
+}
 
+// GPUTargets measures random configurations of every task on one
+// training GPU (its share of the TenSet-like corpus [19]) and distills
+// each (GPU, task) pair into the target distribution parameters of one
+// training example for H. Entry i is nil when task i had too few valid
+// measurements. g is the dataset stream: task i draws from
+// g.Split(spec.Name+"/"+tasks[i].Name()), so the result depends only on
+// the spec, the tasks, the defaulted cfg and g's seed.
+func GPUTargets(spec hwspec.Spec, tasks []workload.Task, cfg DatasetConfig, g *rng.RNG) ([][]float64, error) {
 	cfg.defaults()
+	dev := gpusim.NewDevice(spec)
+	out := make([][]float64, len(tasks))
+	for i, task := range tasks {
+		sp, err := space.ForTask(task)
+		if err != nil {
+			return nil, err
+		}
+		layout, err := LayoutFor(task.Kind)
+		if err != nil {
+			return nil, err
+		}
+		if err := layout.CheckSpace(sp); err != nil {
+			return nil, err
+		}
+		if target, ok := fitTarget(dev, task, sp, layout, cfg, g.Split(spec.Name+"/"+task.Name())); ok {
+			out[i] = target
+		}
+	}
+	return out, nil
+}
+
+// Examples assembles H's training examples, GPU by GPU in gpus order and
+// task by task within a GPU, from each GPU's targets (GPUTargets' result
+// for that spec and tasks), skipping pairs without a target. The targets
+// are shared, not copied.
+func Examples(gpus []hwspec.Spec, emb *blueprint.Embedding, tasks []workload.Task,
+	targets func(spec hwspec.Spec) ([][]float64, error)) ([]Example, error) {
+
 	var out []Example
 	for _, spec := range gpus {
-		dev := gpusim.NewDevice(spec)
+		ts, err := targets(spec)
+		if err != nil {
+			return nil, err
+		}
 		bp := emb.Embed(spec)
-		for _, task := range tasks {
-			sp, err := space.ForTask(task)
-			if err != nil {
-				return nil, err
-			}
-			layout, err := LayoutFor(task.Kind)
-			if err != nil {
-				return nil, err
-			}
-			if err := layout.CheckSpace(sp); err != nil {
-				return nil, err
-			}
-			target, ok := fitTarget(dev, task, sp, layout, cfg, g.Split(spec.Name+"/"+task.Name()))
-			if !ok {
+		for i, task := range tasks {
+			if ts[i] == nil {
 				continue // no valid measurements for this pair
 			}
 			out = append(out, Example{
 				Kind:   task.Kind,
 				Input:  TaskInput(task, bp),
-				Target: target,
+				Target: ts[i],
 			})
 		}
 	}

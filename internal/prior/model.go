@@ -41,11 +41,22 @@ func (c *TrainConfig) defaults() {
 func Train(emb *blueprint.Embedding, gpus []hwspec.Spec, tasks []workload.Task,
 	cfg TrainConfig, g *rng.RNG) (*Model, error) {
 
-	cfg.defaults()
-	examples, err := BuildDataset(gpus, emb, tasks, cfg.Dataset, g.Split("dataset"))
+	dg := g.Split("dataset")
+	examples, err := Examples(gpus, emb, tasks, func(spec hwspec.Spec) ([][]float64, error) {
+		return GPUTargets(spec, tasks, cfg.Dataset, dg)
+	})
 	if err != nil {
 		return nil, err
 	}
+	return TrainHeads(emb, examples, cfg, g)
+}
+
+// TrainHeads fits one hypernetwork head per template kind on the given
+// examples. g is the stream Train is given: head k draws from its
+// "net/k" and "fit/k" splits, so TrainHeads on Train's examples returns
+// Train's model. cfg.Dataset is not used.
+func TrainHeads(emb *blueprint.Embedding, examples []Example, cfg TrainConfig, g *rng.RNG) (*Model, error) {
+	cfg.defaults()
 	byKind := map[workload.Kind][]Example{}
 	for _, ex := range examples {
 		byKind[ex.Kind] = append(byKind[ex.Kind], ex)

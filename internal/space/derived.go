@@ -43,6 +43,16 @@ func roleProduct(k *Knob, value []int, r Role) int {
 	return p
 }
 
+// splitInfo is one split knob's value within a configuration.
+type splitInfo struct {
+	value []int
+	knob  *Knob
+}
+
+// maxSplitKnobs bounds the split knobs of every template (direct conv2d
+// has six); Derive keeps that many on the stack.
+const maxSplitKnobs = 8
+
 // Derive computes the resource footprint of cfg for the given task. The
 // task must be the one the space was built from.
 func Derive(t workload.Task, s *Space, cfg Config) (Resources, error) {
@@ -57,18 +67,17 @@ func Derive(t workload.Task, s *Space, cfg Config) (Resources, error) {
 	res.ThreadX = 1
 	res.ReduceInner = 1
 
-	type splitInfo struct {
-		name  string
-		value []int
-		knob  *Knob
-	}
-	var splits []splitInfo
+	// The split knobs' values, in knob order. The fixed backing array and
+	// the closures below stay on the stack, so Derive allocates nothing
+	// for a template's at most maxSplitKnobs splits.
+	var buf [maxSplitKnobs]splitInfo
+	splits := buf[:0]
 	for i := range s.Knobs {
 		k := &s.Knobs[i]
 		switch k.Kind {
 		case KindSplit:
 			v := k.SplitValue(cfg[i])
-			splits = append(splits, splitInfo{k.Name, v, k})
+			splits = append(splits, splitInfo{v, k})
 			res.ThreadsPerBlock *= roleProduct(k, v, RoleThread)
 			res.VThreads *= roleProduct(k, v, RoleVThread)
 			res.Blocks *= int64(roleProduct(k, v, RoleBlock))
@@ -88,29 +97,31 @@ func Derive(t workload.Task, s *Space, cfg Config) (Resources, error) {
 	res.BlockOutY = 1
 	res.BlockOutX = 1
 
-	get := func(name string) []int {
-		for _, sp := range splits {
-			if sp.name == name {
-				return sp.value
+	find := func(name string) *splitInfo {
+		for i := range splits {
+			if splits[i].knob.Name == name {
+				return &splits[i]
 			}
 		}
 		return nil
 	}
+	get := func(name string) []int {
+		if sp := find(name); sp != nil {
+			return sp.value
+		}
+		return nil
+	}
 	blockPart := func(name string) int {
-		for _, sp := range splits {
-			if sp.name == name {
-				return roleProduct(sp.knob, sp.value, RoleBlock)
-			}
+		if sp := find(name); sp != nil {
+			return roleProduct(sp.knob, sp.value, RoleBlock)
 		}
 		return 1
 	}
 	blockExtent := func(name string) int {
-		for _, sp := range splits {
-			if sp.name == name {
-				return roleProduct(sp.knob, sp.value, RoleVThread) *
-					roleProduct(sp.knob, sp.value, RoleThread) *
-					roleProduct(sp.knob, sp.value, RoleInner)
-			}
+		if sp := find(name); sp != nil {
+			return roleProduct(sp.knob, sp.value, RoleVThread) *
+				roleProduct(sp.knob, sp.value, RoleThread) *
+				roleProduct(sp.knob, sp.value, RoleInner)
 		}
 		return 1
 	}

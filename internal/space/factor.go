@@ -64,13 +64,28 @@ type splitTable struct {
 
 // factorCache memoizes split tables, which repeat heavily across tasks
 // (channel counts like 64/128/256/512 recur in every model).
-var factorCache sync.Map // map[[2]int]*splitTable
+var factorCache sync.Map // map[[2]int]*splitEntry
+
+// splitEntry is one cached table. Its first user builds it inside once,
+// so concurrent first users of a key build it once and share the result.
+type splitEntry struct {
+	once  sync.Once
+	table *splitTable
+}
 
 func cachedSplitTable(n, k int) *splitTable {
 	key := [2]int{n, k}
-	if v, ok := factorCache.Load(key); ok {
-		return v.(*splitTable)
+	v, ok := factorCache.Load(key)
+	if !ok {
+		v, _ = factorCache.LoadOrStore(key, new(splitEntry))
 	}
+	e := v.(*splitEntry)
+	e.once.Do(func() { e.table = buildSplitTable(n, k) })
+	return e.table
+}
+
+// buildSplitTable enumerates the k-part factorizations of n into a table.
+func buildSplitTable(n, k int) *splitTable {
 	divs := divisors(n)
 	tuples := factorizations(n, k)
 	t := &splitTable{
@@ -87,7 +102,6 @@ func cachedSplitTable(n, k int) *splitTable {
 			t.div = append(t.div, uint16(sort.SearchInts(divs, f)))
 		}
 	}
-	factorCache.Store(key, t)
 	return t
 }
 

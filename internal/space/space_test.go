@@ -1,6 +1,7 @@
 package space
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -311,5 +312,58 @@ func TestSignatureStableAndStructural(t *testing.T) {
 	renamed.Index = 99
 	if got := MustForTask(renamed).Signature(); got != sigA {
 		t.Fatalf("renaming the task changed the signature: %q vs %q", got, sigA)
+	}
+}
+
+// TestDeriveAllocatesNothing pins Derive, which every simulated
+// measurement and every sampler validity check runs, at zero allocations
+// for each template.
+func TestDeriveAllocatesNothing(t *testing.T) {
+	g := rng.New(9)
+	for _, ref := range []struct {
+		model string
+		l     int
+	}{{workload.ResNet18, 7}, {workload.ResNet18, 13}, {workload.AlexNet, 11}} {
+		task, err := workload.TaskByIndex(ref.model, ref.l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := MustForTask(task)
+		cfg := sp.FromIndex(sp.RandomIndex(g))
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Derive(task, sp, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s: Derive allocates %v times per call", task.Name(), allocs)
+		}
+	}
+}
+
+// TestCachedSplitTableBuildsOnce has concurrent first users of one key
+// share a single table: the first build is singleflight.
+func TestCachedSplitTableBuildsOnce(t *testing.T) {
+	const users = 8
+	n, k := 2*3*5*7*11*13, 4 // a key no template uses
+	got := make([]*splitTable, users)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = cachedSplitTable(n, k)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, tab := range got {
+		if tab != got[0] {
+			t.Fatalf("user %d got a second table for (%d, %d)", i, n, k)
+		}
+	}
+	if want := len(factorizations(n, k)) * k; len(got[0].factors) != want {
+		t.Fatalf("table holds %d factors want %d", len(got[0].factors), want)
 	}
 }

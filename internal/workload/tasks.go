@@ -7,6 +7,9 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
 )
 
 // Kind is the code template a task is tuned against.
@@ -82,9 +85,59 @@ type Task struct {
 	Repeats int
 }
 
-// Name returns a stable identifier like "resnet-18.L7.conv2d".
+// Name returns a stable identifier like "resnet-18.L7.conv2d". The
+// simulator hashes it into every measurement, so the name is built once
+// per (model, index, kind) and then only looked up.
 func (t Task) Name() string {
-	return fmt.Sprintf("%s.L%d.%s", t.Model, t.Index, t.Kind)
+	k := nameKey{t.Model, t.Index, t.Kind}
+	if m := taskNames.byKey.Load(); m != nil {
+		if name, ok := (*m)[k]; ok {
+			return name
+		}
+	}
+	return k.store()
+}
+
+// nameKey is what a task's name is made of.
+type nameKey struct {
+	model string
+	index int
+	kind  Kind
+}
+
+// maxTaskNames caps the name memo; names of tasks past it are built on
+// every call.
+const maxTaskNames = 4096
+
+// taskNames is the name memo. Readers load the map without a lock;
+// store copies it under mu, and there is at most one store per task.
+var taskNames struct {
+	mu    sync.Mutex
+	byKey atomic.Pointer[map[nameKey]string]
+}
+
+// store builds the name and adds it to the memo unless the memo is full.
+func (k nameKey) store() string {
+	name := k.model + ".L" + strconv.Itoa(k.index) + "." + k.kind.String()
+	taskNames.mu.Lock()
+	defer taskNames.mu.Unlock()
+	old := taskNames.byKey.Load()
+	if old == nil {
+		old = &map[nameKey]string{}
+	}
+	if prev, ok := (*old)[k]; ok {
+		return prev
+	}
+	if len(*old) >= maxTaskNames {
+		return name
+	}
+	m := make(map[nameKey]string, len(*old)+1)
+	for key, v := range *old {
+		m[key] = v
+	}
+	m[k] = name
+	taskNames.byKey.Store(&m)
+	return name
 }
 
 // FLOPs returns the arithmetic work of the task.

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -194,4 +196,47 @@ func TestFigure4LayerIndices(t *testing.T) {
 	if l12.Kind != Conv2D {
 		t.Fatalf("resnet-18 L12 = %v want conv2d", l12.Kind)
 	}
+}
+
+// TestNameAllocatesNothing checks that a task's name, which every
+// simulated measurement hashes, is built once and then served without
+// allocating, and reads as it always has.
+func TestNameAllocatesNothing(t *testing.T) {
+	task, err := TaskByIndex(ResNet18, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%s.L%d.%s", task.Model, task.Index, task.Kind)
+	if task.Name() != want || want != "resnet-18.L7.conv2d" {
+		t.Fatalf("name %q want %q", task.Name(), want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = task.Name() }); allocs != 0 {
+		t.Fatalf("Task.Name allocates %v times per call", allocs)
+	}
+	odd := Task{Model: "m", Index: -3, Kind: Kind(9)}
+	if got := odd.Name(); got != "m.L-3.kind(9)" {
+		t.Fatalf("name %q", got)
+	}
+}
+
+// TestNameConcurrent has goroutines name every task at once while the
+// memo fills: each gets the name fmt would build.
+func TestNameConcurrent(t *testing.T) {
+	var tasks []Task
+	for _, m := range Models {
+		tasks = append(tasks, MustTasks(m)...)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, task := range tasks {
+				if got, want := task.Name(), fmt.Sprintf("%s.L%d.%s", task.Model, task.Index, task.Kind); got != want {
+					t.Errorf("name %q want %q", got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
