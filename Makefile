@@ -137,10 +137,12 @@ bench-train:
 
 # Surrogate-layer benchmarks as a machine-readable artifact: the
 # annealer's batch energy replaying one recorded tuning step (0
-# allocs/op), the GP posterior at 144 rows (the pre-lane reference, one
-# lane and four lanes, with ns/query to compare them), and the GP
-# hyperparameter grid fit. -cpu 2 pins the names as for bench-train.
-LAYERS_BENCH = $(GO) test -bench 'BenchmarkAnnealEnergy|BenchmarkGPPredict|BenchmarkGPFitGrid' -benchmem -cpu 2 -run '^$$' \
+# allocs/op), that step's whole one-worker anneal.Run (energy, chain
+# stepping, score memo and ranking), the GP posterior at 144 rows (the
+# pre-lane reference, one lane and four lanes, with ns/query to compare
+# them), and the GP hyperparameter grid fit. -cpu 2 pins the names as
+# for bench-train.
+LAYERS_BENCH = $(GO) test -bench 'BenchmarkAnnealEnergy|BenchmarkAnnealRun|BenchmarkGPPredict|BenchmarkGPFitGrid' -benchmem -cpu 2 -run '^$$' \
 	./internal/core/... ./internal/gp/...
 .PHONY: bench-layers
 bench-layers:

@@ -62,6 +62,7 @@ import (
 	"github.com/neuralcompile/glimpse/internal/metrics"
 	"github.com/neuralcompile/glimpse/internal/parallel"
 	"github.com/neuralcompile/glimpse/internal/rng"
+	"github.com/neuralcompile/glimpse/internal/space"
 	"github.com/neuralcompile/glimpse/internal/telemetry"
 	"github.com/neuralcompile/glimpse/internal/tuner"
 	"github.com/neuralcompile/glimpse/internal/workload"
@@ -129,7 +130,8 @@ func main() {
 	}
 	g := rng.New(*seed)
 
-	// For Glimpse, prepare one toolkit per target up front.
+	// For Glimpse, one toolkit per target, loaded or trained when a task
+	// on that target first tunes (see lazyGlimpse).
 	var mu sync.Mutex
 	toolkits := map[string]*core.Toolkit{}
 	toolkitFor := func(gpu string) (*core.Toolkit, error) {
@@ -159,13 +161,7 @@ func main() {
 		NewTuner: func(task workload.Task, gpu string) (tuner.Tuner, error) {
 			switch *tunerName {
 			case "glimpse":
-				tk, err := toolkitFor(gpu)
-				if err != nil {
-					return nil, err
-				}
-				gl := tk.Tuner()
-				gl.Tracer = tracer
-				return gl, nil
+				return &lazyGlimpse{toolkit: func() (*core.Toolkit, error) { return toolkitFor(gpu) }, tracer: tracer}, nil
 			case "autotvm":
 				return tuner.AutoTVM{}, nil
 			case "chameleon":
@@ -325,4 +321,34 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fleet: cache: %d hits, %d misses, %d warm starts, %d puts (%d skipped)\n",
 			st.Hits, st.Misses, st.WarmStarts, st.Puts, st.PutSkips)
 	}
+}
+
+// lazyGlimpse is the Glimpse tuner of one task. It loads or trains its
+// GPU's toolkit on the first Tune, not when built: fleet.TuneTask builds
+// the tuner to key a checkpoint lookup by its name, and a task served
+// from the checkpoint must not wait for a toolkit it never uses.
+type lazyGlimpse struct {
+	toolkit func() (*core.Toolkit, error)
+	tracer  *telemetry.Tracer
+	trace   telemetry.SpanContext
+	warm    *cache.WarmStart
+}
+
+// Name is the wrapped tuner's name, so checkpoint keys do not change.
+func (*lazyGlimpse) Name() string { return new(core.Glimpse).Name() }
+
+// SetTraceContext and SetWarmStart hold their input for the next Tune.
+func (l *lazyGlimpse) SetTraceContext(sc telemetry.SpanContext) { l.trace = sc }
+func (l *lazyGlimpse) SetWarmStart(ws *cache.WarmStart)         { l.warm = ws }
+
+func (l *lazyGlimpse) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
+	budget tuner.Budget, g *rng.RNG) (*tuner.Result, error) {
+
+	tk, err := l.toolkit()
+	if err != nil {
+		return nil, err
+	}
+	gl := tk.Tuner()
+	gl.Tracer, gl.Trace, gl.Warm = l.tracer, l.trace, l.warm
+	return gl.Tune(task, sp, m, budget, g)
 }

@@ -4,20 +4,22 @@
 // cost model; this package is that shared search engine.
 //
 // Chains step in lockstep groups of GroupSize, and the groups are sharded
-// across a bounded worker pool (Config.Workers). A group scores its
-// chains' proposals in one batch call, so a surrogate can evaluate them
-// together. Each chain draws from its own RNG stream split from the
-// caller's seed, in the same order as a chain stepped alone, and
-// per-chain visited maps are merged in chain order, so a fixed seed yields
-// byte-identical results for any worker count (and any GOMAXPROCS).
+// across a bounded worker pool (Config.Workers). The groups share one
+// score memo per Run and send only its misses to Score, in one batch
+// call per step. Each chain draws from its own RNG stream split from the
+// caller's seed, in the same order as a chain stepped alone, and Score
+// is pure, so a fixed seed yields byte-identical results for any worker
+// count (and any GOMAXPROCS).
 package anneal
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
+	"sync"
 
 	"github.com/neuralcompile/glimpse/internal/parallel"
 	"github.com/neuralcompile/glimpse/internal/rng"
@@ -28,7 +30,7 @@ import (
 // indices one Score call receives. It is a constant, never derived from a
 // worker count, which keeps the grouping — and every result — the same on
 // any machine.
-const GroupSize = 4
+const GroupSize = 16
 
 // Problem describes a discrete maximization problem for the annealer.
 // Score and Neighbor may be called from multiple goroutines concurrently
@@ -38,8 +40,8 @@ type Problem struct {
 	// Size is the number of points in the space.
 	Size int64
 	// Score writes the surrogate value to maximize at idx[j] into out[j],
-	// for 1..GroupSize indices. Each value must depend on its index only,
-	// not on the batch it arrives in.
+	// for 1..GroupSize distinct indices. It must be pure: Run's memo
+	// scores each index once and reuses that value for every later visit.
 	Score func(idx []int64, out []float64)
 	// Neighbor proposes a move from index i. If nil, a uniform random
 	// index is used (pure random-restart annealing).
@@ -130,21 +132,48 @@ func Run(p Problem, cfg Config, topK int, g *rng.RNG) ([]Result, error) {
 	// trajectory stays a pure function of (salt, chain) — independent of
 	// worker count and scheduling.
 	chainBase := rng.New(g.Int63n(math.MaxInt64))
-	// Hoist the fields the group closure reads: capturing cfg itself would
-	// capture it by reference (Config is past the compiler's 128-byte
-	// by-value limit) and heap-move it on every Run.
+	// Hoist the fields the group closure reads: it would capture cfg (past
+	// the compiler's 128-byte by-value limit) by reference, heap-moving it.
 	initialSeed, startTemp, steps, chains := cfg.InitialSeed, cfg.StartTemp, cfg.Steps, cfg.Chains
-	groups := parallel.Map(cfg.Workers, (chains+GroupSize-1)/GroupSize, func(gi int) []map[int64]float64 {
+	var (
+		mu     sync.Mutex
+		best   = make(map[int64]float64, chains*(steps+1)) // the memo, sized never to grow
+		scored int                                         // indices sent to Score: observation only
+	)
+	parallel.For(cfg.Workers, (chains+GroupSize-1)/GroupSize, func(gi int) {
 		lo := gi * GroupSize
 		m := min(GroupSize, chains-lo)
 		var (
-			cg     [GroupSize]*rng.RNG
-			state  [GroupSize]int64
-			energy [GroupSize]float64
-			idx    [GroupSize]int64
-			out    [GroupSize]float64
-			owner  [GroupSize]int // chain of each batch slot
+			cg                 [GroupSize]*rng.RNG
+			state, idx, miss   [GroupSize]int64
+			energy, out, missS [GroupSize]float64
 		)
+		// fill writes the score of at[j] into into[j], sending the memo's
+		// distinct misses to one Score call. Groups racing on an index
+		// both score it and store the same value: Score is pure.
+		fill := func(at []int64, into []float64) {
+			n := 0
+			mu.Lock()
+			for _, i := range at {
+				if _, ok := best[i]; !ok && i >= 0 && i < p.Size && !slices.Contains(miss[:n], i) {
+					miss[n] = i
+					n++
+				}
+			}
+			mu.Unlock()
+			if n > 0 {
+				p.Score(miss[:n], missS[:n])
+			}
+			mu.Lock()
+			scored += n
+			for k, i := range miss[:n] {
+				best[i] = missS[k]
+			}
+			for j, i := range at {
+				into[j] = best[i]
+			}
+			mu.Unlock()
+		}
 		for c := 0; c < m; c++ {
 			cg[c] = chainBase.Split("chain/" + strconv.Itoa(lo+c))
 			if lo+c < len(initialSeed) {
@@ -156,74 +185,44 @@ func Run(p Problem, cfg Config, topK int, g *rng.RNG) ([]Result, error) {
 				state[c] = cg[c].Int63n(p.Size)
 			}
 		}
-		p.Score(state[:m], energy[:m])
-		visited := make([]map[int64]float64, m)
-		for c := range visited {
-			visited[c] = make(map[int64]float64, steps+1)
-			visited[c][state[c]] = energy[c]
-		}
+		fill(state[:m], energy[:m])
 
 		temp := startTemp
 		for step := 0; step < steps; step++ {
-			// Every chain proposes from its own stream, the group scores
-			// the in-range proposals in one call, then each chain draws
-			// its acceptance in chain order: per chain, the same draws in
-			// the same order as stepping it alone.
-			nb := 0
+			// Each chain proposes from its own stream and draws its
+			// acceptance in chain order: the draws of a chain stepped alone.
 			for c := 0; c < m; c++ {
-				if cand := neighbor(state[c], cg[c]); cand >= 0 && cand < p.Size {
-					idx[nb], owner[nb] = cand, c
-					nb++
-				}
+				idx[c] = neighbor(state[c], cg[c])
 			}
-			if nb > 0 {
-				p.Score(idx[:nb], out[:nb])
-			}
-			for j := 0; j < nb; j++ {
-				c, cand, s := owner[j], idx[j], out[j]
-				if old, ok := visited[c][cand]; !ok || s > old {
-					visited[c][cand] = s
+			fill(idx[:m], out[:m])
+			for c := 0; c < m; c++ {
+				if idx[c] < 0 || idx[c] >= p.Size {
+					continue // left the space: no score, no acceptance draw
 				}
-				delta := s - energy[c]
+				delta := out[c] - energy[c]
 				if delta >= 0 || cg[c].Float64() < math.Exp(delta/temp) {
-					state[c] = cand
-					energy[c] = s
+					state[c], energy[c] = idx[c], out[c]
 				}
 			}
 			temp *= cool
-			// A step neither blocks nor, once the maps have grown,
-			// allocates, so nothing hands this P to another goroutine
-			// before Go's 10 ms preemption slice ends. Yield once per
-			// step so a server's request and progress goroutines do not
-			// wait behind the annealer; the yield touches no data.
+			// A step need not block: yield, so a server's goroutines do not
+			// wait behind it for Go's 10 ms preemption slice.
 			runtime.Gosched()
 		}
-		return visited
 	})
 
-	// Deterministic reduction: merge per-chain maps in chain order.
-	best := make(map[int64]float64, cfg.Chains*4)
-	for _, group := range groups {
-		for _, visited := range group {
-			for i, s := range visited {
-				if old, ok := best[i]; !ok || s > old {
-					best[i] = s
-				}
-			}
-		}
-	}
-
+	sp.SetAttr("scored", scored) // varies with scheduling at >1 worker
 	sp.SetAttr("visited", len(best))
 	out := make([]Result, 0, len(best))
 	for i, s := range best {
 		out = append(out, Result{Index: i, Score: s})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		//glint:ignore floateq -- exact tie-break in a sort comparator; an epsilon would break strict weak ordering
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
+	// cmp.Compare ranks NaN lowest, so the order is total.
+	slices.SortFunc(out, func(a, b Result) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return out[a].Index < out[b].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
 	if len(out) > topK {
 		out = out[:topK]

@@ -15,11 +15,15 @@ import (
 )
 
 // energyReplay is one recorded tuning step: the annealer energy of its
-// fitted GP and every index batch its annealer scored, in order.
+// fitted GP, every index batch its annealer scored, in order, and the
+// annealer's problem and config.
 var energyReplay struct {
 	once    sync.Once
 	energy  func(idx []int64, out []float64)
 	batches [][]int64
+	problem anneal.Problem
+	cfg     anneal.Config
+	topK    int
 	err     error
 }
 
@@ -59,17 +63,17 @@ func recordEnergyStep(b *testing.B) {
 			return
 		}
 		r.energy = ts.energy(sur, 0.2)
-		cfg := anneal.DefaultConfig()
-		cfg.Workers = 1
-		cfg.InitialSeed = topMeasured(ts.xs, ts.ys, ts.visitedOrder, 3)
-		_, r.err = anneal.Run(anneal.Problem{
-			Size: sp.Size(),
-			Score: func(idx []int64, out []float64) {
-				r.batches = append(r.batches, append([]int64(nil), idx...))
-				r.energy(idx, out)
-			},
-			Neighbor: sp.Neighbor,
-		}, cfg, ts.pool, rng.New(6))
+		r.cfg = anneal.DefaultConfig()
+		r.cfg.Workers = 1
+		r.cfg.InitialSeed = topMeasured(ts.xs, ts.ys, ts.visitedOrder, 3)
+		r.problem = anneal.Problem{Size: sp.Size(), Score: r.energy, Neighbor: sp.Neighbor}
+		r.topK = ts.pool
+		record := r.problem
+		record.Score = func(idx []int64, out []float64) {
+			r.batches = append(r.batches, append([]int64(nil), idx...))
+			r.energy(idx, out)
+		}
+		_, r.err = anneal.Run(record, r.cfg, r.topK, rng.New(6))
 	})
 	if r.err != nil {
 		b.Fatal(r.err)
@@ -89,6 +93,21 @@ func BenchmarkAnnealEnergy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, idx := range r.batches {
 			r.energy(idx, out[:len(idx)])
+		}
+	}
+}
+
+// BenchmarkAnnealRun runs that step's whole annealer on one goroutine:
+// the energy of BenchmarkAnnealEnergy plus chain stepping, neighbour
+// proposals, the score memo and the final ranking. One op is one Run.
+func BenchmarkAnnealRun(b *testing.B) {
+	recordEnergyStep(b)
+	r := &energyReplay
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := anneal.Run(r.problem, r.cfg, r.topK, rng.New(6)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
