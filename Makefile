@@ -113,13 +113,15 @@ bench-fleet:
 
 # Tuned-config cache benchmarks as a machine-readable artifact: exact-hit
 # serving latency (must stay microseconds — it replaces a whole tuning
-# session) and the 3-donor warm-vs-cold transfer study. Gate on the
-# meas_savings_% metric: the warm run must reach the cold run's final
-# best with >=30% fewer measurements on average.
+# session) and the 3-donor warm-vs-cold transfer study. Gated on the
+# meas_savings_% metric: BenchmarkCacheWarmVsCold fails unless the warm
+# run reaches the cold run's final best with >=30% fewer measurements on
+# average, and cmd/benchjson then writes nothing and exits 1. -cpu 2 pins
+# the benchmark names, as for bench-train.
+CACHE_BENCH = $(GO) test -bench 'BenchmarkCache' -benchtime 1x -benchmem -cpu 2 -run '^$$' ./internal/cache/...
 .PHONY: bench-cache
 bench-cache:
-	$(GO) test -bench 'BenchmarkCache' -benchtime 1x -benchmem -run '^$$' ./internal/cache/... \
-		| $(GO) run ./cmd/benchjson > BENCH_cache.json
+	$(CACHE_BENCH) | $(GO) run ./cmd/benchjson > BENCH_cache.json
 	@echo wrote BENCH_cache.json
 
 # Toolkit-training benchmarks as a machine-readable artifact: one nn
@@ -162,9 +164,11 @@ bench-layers:
 # or 28725 from run to run: every GC cycle empties the sync.Pools (fmt's
 # printers among them) and the refills count as allocations, and how
 # many cycles fall in the timed loop varies. bench-diff-layers gates the
-# surrogate-layer benchmarks the same way.
-.PHONY: bench-diff bench-diff-obs bench-diff-train bench-diff-layers
-bench-diff: bench-diff-obs bench-diff-train bench-diff-layers
+# surrogate-layer benchmarks the same way, and so does bench-diff-cache,
+# which also keeps the fresh run in bench-cache-fresh.json and fails when
+# the warm-vs-cold study misses its 30% gate (empty input to benchdiff).
+.PHONY: bench-diff bench-diff-obs bench-diff-train bench-diff-layers bench-diff-cache
+bench-diff: bench-diff-obs bench-diff-train bench-diff-layers bench-diff-cache
 
 bench-diff-obs:
 	$(GO) test -bench 'BenchmarkTracer|BenchmarkCounterInc|BenchmarkHistogramObserve|BenchmarkReliableOverhead' \
@@ -179,6 +183,10 @@ bench-diff-train:
 bench-diff-layers:
 	$(LAYERS_BENCH) | $(GO) run ./cmd/benchjson \
 		| $(GO) run ./cmd/benchdiff -floor-ns 1e15 -baseline BENCH_layers.json
+
+bench-diff-cache:
+	$(CACHE_BENCH) | $(GO) run ./cmd/benchjson | tee bench-cache-fresh.json \
+		| $(GO) run ./cmd/benchdiff -floor-ns 1e15 -baseline BENCH_cache.json
 
 .PHONY: fmt
 fmt:

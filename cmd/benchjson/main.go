@@ -8,6 +8,8 @@
 //
 // Lines that are not benchmark results (pass/fail summaries, goos/goarch
 // headers) pass through to stderr untouched, so failures stay visible.
+// Input from a failed run (a "--- FAIL" or "FAIL" line) writes no records
+// and exits 1, so a benchmark's own gate fails the pipeline it feeds.
 package main
 
 import (
@@ -33,12 +35,14 @@ type Record struct {
 
 func main() {
 	var records []Record
+	failed := false
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		rec, ok := parseLine(line)
 		if !ok {
+			failed = failed || isFailure(line)
 			fmt.Fprintln(os.Stderr, line)
 			continue
 		}
@@ -48,12 +52,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	if failed {
+		fmt.Fprintln(os.Stderr, "benchjson: the benchmark run failed; no records written")
+		os.Exit(1)
+	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(records); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// isFailure reports whether a line is `go test`'s verdict on a failure.
+func isFailure(line string) bool {
+	return strings.HasPrefix(line, "--- FAIL") || strings.HasPrefix(line, "FAIL")
 }
 
 // parseLine parses one `go test -bench` result line, e.g.

@@ -50,3 +50,19 @@ func TestParseLineRejectsNonBench(t *testing.T) {
 		}
 	}
 }
+
+func TestIsFailure(t *testing.T) {
+	for line, want := range map[string]bool{
+		"--- FAIL: BenchmarkCacheWarmVsCold": true,
+		"FAIL":                               true,
+		"FAIL\tgithub.com/neuralcompile/glimpse/internal/cache": true,
+		"PASS": false,
+		"ok  \tgithub.com/neuralcompile/glimpse/internal/cache": false,
+		"    bench_test.go:200: FAIL is only a word in a log":   false,
+		"--- BENCH: BenchmarkCacheWarmVsCold":                   false,
+	} {
+		if got := isFailure(line); got != want {
+			t.Errorf("isFailure(%q) = %v, want %v", line, got, want)
+		}
+	}
+}

@@ -10,13 +10,14 @@
 //	      [-endpoints 200] [-shards 4] [-steal] [-speculate] \
 //	      [-chaos flap] [-chaos-seed 1] [-chaos-frac 0.1] \
 //	      [-trace path] [-debug-addr 127.0.0.1:6060] \
-//	      [-cache path] [-warm-k 3] [-cache-readonly]
+//	      [-cache path] [-cache-readonly]
 //
 // -cache points at a persistent tuned-config store shared across runs and
 // devices: an exact (workload, GPU) hit is served with zero measurements,
-// and a first-time GPU warm-starts each task from the -warm-k nearest
-// donor SKUs in Blueprint space under a shrunken budget. New bests are
-// written back unless -cache-readonly is set.
+// and a first-time GPU warm-starts each task from the 3 nearest donor
+// SKUs in Blueprint space under a shrunken budget. New bests are written
+// back unless -cache-readonly is set. cmd/glimpse and glimpsed apply the
+// same policy (cache.Store.Decide).
 //
 // -trace writes a JSONL span trace (per-task tuning spans, checkpoint
 // writes, measurement degradation events); aggregate with cmd/tracereport.
@@ -62,7 +63,6 @@ import (
 	"github.com/neuralcompile/glimpse/internal/metrics"
 	"github.com/neuralcompile/glimpse/internal/parallel"
 	"github.com/neuralcompile/glimpse/internal/rng"
-	"github.com/neuralcompile/glimpse/internal/space"
 	"github.com/neuralcompile/glimpse/internal/telemetry"
 	"github.com/neuralcompile/glimpse/internal/tuner"
 	"github.com/neuralcompile/glimpse/internal/workload"
@@ -91,7 +91,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a JSONL span trace of the fleet run to this file")
 	debugAddr := flag.String("debug-addr", "", "serve pprof and /telemetryz on this address (empty: disabled)")
 	cachePath := flag.String("cache", "", "persistent tuned-config store (JSONL; exact hits skip tuning, misses warm-start)")
-	warmK := flag.Int("warm-k", 3, "with -cache: nearest donor devices per warm start")
 	cacheReadonly := flag.Bool("cache-readonly", false, "with -cache: serve and warm-start but never write")
 	flag.Parse()
 	parallel.SetDefaultWorkers(*workers)
@@ -130,27 +129,18 @@ func main() {
 	}
 	g := rng.New(*seed)
 
-	// For Glimpse, one toolkit per target, loaded or trained when a task
-	// on that target first tunes (see lazyGlimpse).
-	var mu sync.Mutex
-	toolkits := map[string]*core.Toolkit{}
-	toolkitFor := func(gpu string) (*core.Toolkit, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if tk, ok := toolkits[gpu]; ok {
-			return tk, nil
-		}
-		var path string
-		if *artifacts != "" {
-			path = filepath.Join(*artifacts, gpu+".toolkit.json")
-		}
-		fmt.Fprintf(os.Stderr, "fleet: loading or training artifacts for %s...\n", gpu)
-		tk, err := core.LoadOrTrainToolkit(path, gpu, g.Split("toolkit/"+gpu))
-		if err != nil {
-			return nil, err
-		}
-		toolkits[gpu] = tk
-		return tk, nil
+	// For Glimpse, one toolkit per target, loaded or trained once, when a
+	// task on that target first tunes (see core.LazyGlimpse).
+	toolkits := map[string]func() (*core.Toolkit, error){}
+	for _, gpu := range targets {
+		toolkits[gpu] = sync.OnceValues(func() (*core.Toolkit, error) {
+			var path string
+			if *artifacts != "" {
+				path = filepath.Join(*artifacts, gpu+".toolkit.json")
+			}
+			fmt.Fprintf(os.Stderr, "fleet: loading or training artifacts for %s...\n", gpu)
+			return core.LoadOrTrainToolkit(path, gpu, g.Split("toolkit/"+gpu))
+		})
 	}
 
 	cfg := fleet.Config{
@@ -161,7 +151,7 @@ func main() {
 		NewTuner: func(task workload.Task, gpu string) (tuner.Tuner, error) {
 			switch *tunerName {
 			case "glimpse":
-				return &lazyGlimpse{toolkit: func() (*core.Toolkit, error) { return toolkitFor(gpu) }, tracer: tracer}, nil
+				return &core.LazyGlimpse{Toolkit: toolkits[gpu], Tracer: tracer}, nil
 			case "autotvm":
 				return tuner.AutoTVM{}, nil
 			case "chameleon":
@@ -177,12 +167,7 @@ func main() {
 	var store *cache.Store
 	if *cachePath != "" {
 		var err error
-		if *cacheReadonly {
-			store, err = cache.OpenReadOnly(*cachePath)
-		} else {
-			store, err = cache.Open(*cachePath)
-		}
-		if err != nil {
+		if store, err = cache.OpenMode(*cachePath, *cacheReadonly); err != nil {
 			fmt.Fprintln(os.Stderr, "fleet:", err)
 			os.Exit(1)
 		}
@@ -191,7 +176,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fleet: tuned-config cache: %d entries in %s\n", n, *cachePath)
 		}
 		cfg.Cache = store
-		cfg.WarmK = *warmK
 	}
 
 	if *ckptPath != "" {
@@ -321,34 +305,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fleet: cache: %d hits, %d misses, %d warm starts, %d puts (%d skipped)\n",
 			st.Hits, st.Misses, st.WarmStarts, st.Puts, st.PutSkips)
 	}
-}
-
-// lazyGlimpse is the Glimpse tuner of one task. It loads or trains its
-// GPU's toolkit on the first Tune, not when built: fleet.TuneTask builds
-// the tuner to key a checkpoint lookup by its name, and a task served
-// from the checkpoint must not wait for a toolkit it never uses.
-type lazyGlimpse struct {
-	toolkit func() (*core.Toolkit, error)
-	tracer  *telemetry.Tracer
-	trace   telemetry.SpanContext
-	warm    *cache.WarmStart
-}
-
-// Name is the wrapped tuner's name, so checkpoint keys do not change.
-func (*lazyGlimpse) Name() string { return new(core.Glimpse).Name() }
-
-// SetTraceContext and SetWarmStart hold their input for the next Tune.
-func (l *lazyGlimpse) SetTraceContext(sc telemetry.SpanContext) { l.trace = sc }
-func (l *lazyGlimpse) SetWarmStart(ws *cache.WarmStart)         { l.warm = ws }
-
-func (l *lazyGlimpse) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
-	budget tuner.Budget, g *rng.RNG) (*tuner.Result, error) {
-
-	tk, err := l.toolkit()
-	if err != nil {
-		return nil, err
-	}
-	gl := tk.Tuner()
-	gl.Tracer, gl.Trace, gl.Warm = l.tracer, l.trace, l.warm
-	return gl.Tune(task, sp, m, budget, g)
 }

@@ -6,7 +6,7 @@
 //	glimpse -model resnet-18 -gpu titan-xp [-tasks 1,7,17] [-budget 192]
 //	        [-seed N] [-compare] [-rpc addr] [-artifacts path] [-log path]
 //	        [-checkpoint path] [-fallback-local] [-retries 3] [-workers N]
-//	        [-trace path] [-cache path] [-warm-k 3] [-cache-readonly]
+//	        [-trace path] [-cache path] [-cache-readonly]
 //
 // With -compare, AutoTVM runs on the same tasks for reference. With -rpc,
 // measurements go to a measurement server (cmd/measured) instead of the
@@ -24,11 +24,14 @@
 // points at a persistent tuned-config store (JSONL, created if absent): a
 // task whose workload fingerprint and GPU were tuned before is served from
 // the store with zero measurements ("glimpse (cache)"), and a task tuned
-// before only on *other* GPUs warm-starts from the -warm-k nearest donors
-// in Blueprint space under a shrunken budget ("glimpse (warm)"). New bests
-// are written back unless -cache-readonly is set (which also never creates
-// or modifies the file — safe for concurrent serving). -compare skips the
-// tasks served from the checkpoint or the cache.
+// before only on *other* GPUs warm-starts from the 3 nearest donors in
+// Blueprint space under a shrunken budget ("glimpse (warm)"); cmd/fleet and
+// glimpsed apply the same policy (cache.Store.Decide). New bests are
+// written back unless -cache-readonly is set (which also never creates or
+// modifies the file — safe for concurrent serving). -compare skips the
+// tasks served from the checkpoint or the cache. The toolkit is loaded or
+// trained only when a task first tunes, so a run served wholly from the
+// checkpoint or the cache never trains one.
 //
 // -trace writes a JSONL span trace: one task span per task, with its cache
 // lookup and the tuning loop's stages (prior sampling, annealing,
@@ -46,6 +49,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/neuralcompile/glimpse/internal/cache"
@@ -80,7 +84,6 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "goroutines for search and scoring (results are identical for any value)")
 	tracePath := flag.String("trace", "", "write a JSONL span trace of the tuning stages to this file")
 	cachePath := flag.String("cache", "", "persistent tuned-config store (JSONL; exact hits skip tuning, misses warm-start)")
-	warmK := flag.Int("warm-k", 3, "with -cache: nearest donor devices per warm start")
 	cacheReadonly := flag.Bool("cache-readonly", false, "with -cache: serve and warm-start but never write")
 	flag.Parse()
 	parallel.SetDefaultWorkers(*workers)
@@ -176,20 +179,14 @@ func main() {
 	}
 
 	g := rng.New(*seed)
-	fmt.Fprintf(os.Stderr, "loading or training Glimpse offline artifacts for %s (leave-target-out)...\n", *gpu)
-	tk, err := core.LoadOrTrainToolkit(*artifacts, *gpu, g.Split("toolkit"))
-	if err != nil {
-		fail(err)
-	}
+	toolkit := sync.OnceValues(func() (*core.Toolkit, error) {
+		fmt.Fprintf(os.Stderr, "loading or training Glimpse offline artifacts for %s (leave-target-out)...\n", *gpu)
+		return core.LoadOrTrainToolkit(*artifacts, *gpu, g.Split("toolkit"))
+	})
 
 	var store *cache.Store
 	if *cachePath != "" {
-		if *cacheReadonly {
-			store, err = cache.OpenReadOnly(*cachePath)
-		} else {
-			store, err = cache.Open(*cachePath)
-		}
-		if err != nil {
+		if store, err = cache.OpenMode(*cachePath, *cacheReadonly); err != nil {
 			fail(err)
 		}
 		defer store.Close()
@@ -213,12 +210,9 @@ func main() {
 		Budget:     bud,
 		Checkpoint: ck,
 		Cache:      store,
-		WarmK:      *warmK,
 		Tracer:     tracer,
 		NewTuner: func(workload.Task, string) (tuner.Tuner, error) {
-			gl := tk.Tuner()
-			gl.Tracer = tracer
-			return gl, nil
+			return &core.LazyGlimpse{Toolkit: toolkit, Tracer: tracer}, nil
 		},
 	}
 	table := metrics.NewTable(

@@ -2,14 +2,15 @@
 // that accepts tuning jobs over HTTP, runs several resumable sessions
 // concurrently behind a tenant-fair priority queue, streams per-step
 // progress over SSE, serves exact hits and warm starts from a
-// tuned-config cache, and drains gracefully — SIGTERM checkpoints every
+// tuned-config cache (the policy cmd/glimpse and cmd/fleet use, with 3
+// donor devices per warm start), and drains gracefully — SIGTERM checkpoints every
 // in-flight session's measurement log, and a restarted daemon resumes
 // the same jobs to byte-identical results with zero lost work.
 //
 // Server mode:
 //
 //	glimpsed -state /var/lib/glimpsed [-addr :8743] [-sessions 4]
-//	         [-queue-depth 256] [-budget 192] [-cache path] [-warm-k 3]
+//	         [-queue-depth 256] [-budget 192] [-cache path]
 //	         [-cache-readonly] [-artifacts dir] [-tenant-budget a=120,b=40]
 //	         [-drain 2m] [-endpoints host:4817,host2:4817] [-trace out.jsonl]
 //	         [-slo-ttfp-ms 5000 -slo-ttfp-objective 0.95] [-slo-availability 0.99]
@@ -66,7 +67,6 @@ func main() {
 	budget := flag.Int("budget", 192, "server mode: default measurements per job")
 	cachePath := flag.String("cache", "", "server mode: persistent tuned-config store")
 	cacheReadonly := flag.Bool("cache-readonly", false, "server mode: serve from -cache but never write")
-	warmK := flag.Int("warm-k", 3, "server mode: donor devices per warm start")
 	artifacts := flag.String("artifacts", "", "server mode: directory for trained toolkit artifacts")
 	tenantBudgets := flag.String("tenant-budget", "", "server mode: per-tenant GPU-second budgets, name=seconds[,name=seconds...]")
 	drainTimeout := flag.Duration("drain", 2*time.Minute, "server mode: graceful drain deadline on SIGTERM")
@@ -106,7 +106,6 @@ func main() {
 		TenantBudgets: budgets,
 		CachePath:     *cachePath,
 		CacheReadOnly: *cacheReadonly,
-		WarmK:         *warmK,
 		ArtifactsDir:  *artifacts,
 		SLOs: server.SLOConfig{
 			TTFPThresholdMS: *sloTTFPMS,

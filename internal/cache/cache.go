@@ -146,6 +146,15 @@ func OpenReadOnly(path string) (*Store, error) {
 	return s, nil
 }
 
+// OpenMode opens path with OpenReadOnly when readonly is set and with
+// Open otherwise: the -cache/-cache-readonly pair of every entry point.
+func OpenMode(path string, readonly bool) (*Store, error) {
+	if readonly {
+		return OpenReadOnly(path)
+	}
+	return Open(path)
+}
+
 // replay loads one stored JSONL line into the in-memory index, keeping
 // the best entry per (fingerprint, device).
 func (s *Store) replay(line []byte) error {
@@ -321,9 +330,6 @@ func (s *Store) Len() int {
 	defer s.mu.Unlock()
 	return len(s.entries)
 }
-
-// ReadOnly reports whether the store was opened with OpenReadOnly.
-func (s *Store) ReadOnly() bool { return s.readonly }
 
 // Close releases the underlying file (no-op for readonly stores).
 func (s *Store) Close() error {

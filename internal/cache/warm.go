@@ -96,6 +96,10 @@ const MaxSamplesPerDonor = 12
 // measurements), so serving infrastructure spends 70% and banks the rest.
 const WarmBudgetFrac = 0.7
 
+// WarmDonors is how many nearest donor devices a warm start draws from
+// (Decide's k for WarmStart).
+const WarmDonors = 3
+
 // ShrinkBudget scales a session budget for a warm start, rounding up and
 // never below one measurement. Zero (unset) bounds stay unset.
 func ShrinkBudget(b tuner.Budget, frac float64) tuner.Budget {

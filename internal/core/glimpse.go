@@ -80,6 +80,38 @@ func (gl *Glimpse) SetTraceContext(sc telemetry.SpanContext) { gl.Trace = sc }
 // Name identifies the tuner.
 func (gl *Glimpse) Name() string { return "glimpse" }
 
+// LazyGlimpse is a Glimpse tuner that gets its toolkit on the first Tune,
+// not when it is built: fleet.TuneTask builds the tuner to key a
+// checkpoint lookup by its name, and a task served from the checkpoint or
+// the tuned-config cache must not wait for a toolkit it never uses.
+// Toolkit is called once per Tune; callers memoize it.
+type LazyGlimpse struct {
+	Toolkit func() (*Toolkit, error)
+	Tracer  *telemetry.Tracer
+	trace   telemetry.SpanContext
+	warm    *cache.WarmStart
+}
+
+// Name is Glimpse's name, so checkpoint keys do not depend on laziness.
+func (*LazyGlimpse) Name() string { return new(Glimpse).Name() }
+
+// SetTraceContext and SetWarmStart hold their input for the next Tune.
+func (l *LazyGlimpse) SetTraceContext(sc telemetry.SpanContext) { l.trace = sc }
+func (l *LazyGlimpse) SetWarmStart(ws *cache.WarmStart)         { l.warm = ws }
+
+// Tune gets the toolkit and runs its Glimpse tuner.
+func (l *LazyGlimpse) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
+	budget tuner.Budget, g *rng.RNG) (*tuner.Result, error) {
+
+	tk, err := l.Toolkit()
+	if err != nil {
+		return nil, err
+	}
+	gl := tk.Tuner()
+	gl.Tracer, gl.Trace, gl.Warm = l.Tracer, l.trace, l.warm
+	return gl.Tune(task, sp, m, budget, g)
+}
+
 // warmDiscount scales donor surrogate rows below the target's own
 // normalized maximum (1.0): transferred samples rank regions, they do not
 // assert the target's peak throughput.

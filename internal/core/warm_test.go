@@ -122,3 +122,45 @@ func TestGlimpseWarmSeedMeasured(t *testing.T) {
 		t.Fatalf("warm best %g below its own seed's %g", res.BestGFLOPS, donor.BestGFLOPS)
 	}
 }
+
+// TestLazyGlimpseMatchesGlimpse: the lazy tuner keeps Glimpse's name,
+// gets its toolkit only when it tunes, and forwards the warm start to a
+// result identical to the eager tuner's.
+func TestLazyGlimpseMatchesGlimpse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models and runs tuning sessions")
+	}
+	tk := smallToolkit(t)
+	task, err := workload.TaskByIndex(workload.ResNet18, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := space.MustForTask(task)
+	m := measure.MustNewLocal(hwspec.TitanXp)
+	donor, err := tk.Tuner().Tune(task, sp, m, tuner.Budget{MaxMeasurements: 32}, rng.New(71))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := donorWarmStart(t, donor, sp)
+	budget := tuner.Budget{MaxMeasurements: 48}
+
+	loads := 0
+	lazy := &LazyGlimpse{Toolkit: func() (*Toolkit, error) { loads++; return tk, nil }}
+	lazy.SetWarmStart(ws)
+	if lazy.Name() != tk.Tuner().Name() || loads != 0 {
+		t.Fatalf("lazy tuner named %q after %d toolkit loads", lazy.Name(), loads)
+	}
+	got, err := lazy.Tune(task, sp, m, budget, rng.New(81))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl := tk.Tuner()
+	gl.SetWarmStart(ws)
+	want, err := gl.Tune(task, sp, m, budget, rng.New(81))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loads != 1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("lazy tune (%d toolkit loads) diverged:\n%+v\n%+v", loads, got, want)
+	}
+}

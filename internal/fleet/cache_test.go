@@ -143,7 +143,6 @@ func TestTuneTaskOutOfSpaceHitWarmStarts(t *testing.T) {
 		Budget:   tuner.Budget{MaxMeasurements: 48},
 		NewTuner: randomTunerFactory,
 		Cache:    store,
-		WarmK:    3,
 	}
 	if _, err := tuneOn(cfg, SchedulerConfig{}, measure.MustNewLocal("rtx-2080-ti"), 1); err != nil {
 		t.Fatal(err)

@@ -97,15 +97,11 @@ type Config struct {
 	// resumed session skip tasks already recorded for the same run: model,
 	// GPU, tuner name, task seed and Budget (CheckpointKey).
 	Checkpoint *Checkpoint
-	// Cache, when set, is consulted before each task is dispatched: an
-	// exact (fingerprint, device) hit serves the stored best configuration
-	// with zero measurements; a miss warm-starts the session from the
-	// WarmK nearest donor devices under a shrunken budget (for tuners that
-	// implement cache.WarmStartable). New bests are written back unless
-	// the store is readonly.
+	// Cache, when set, decides each task before it tunes by
+	// cache.Store.Decide, the policy glimpsed shares: an exact hit is
+	// served with zero measurements, a miss may warm-start, and new bests
+	// are written back unless the store is readonly.
 	Cache *cache.Store
-	// WarmK is the donor count for cache warm starts (default 3).
-	WarmK int
 	// Tracer records one "task" span per tuning task plus "checkpoint"
 	// spans and failure events (nil: tracing disabled). The tracer is safe
 	// for the concurrent task goroutines; it observes only and never
@@ -128,9 +124,6 @@ func (c *Config) resolve() error {
 			return err
 		}
 		c.Tasks = tasks
-	}
-	if c.WarmK <= 0 {
-		c.WarmK = 3
 	}
 	return nil
 }
@@ -189,83 +182,37 @@ func TuneTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (
 		return failed(err), nil
 	}
 
-	// Tuned-config cache: exact hit serves the stored best with zero
-	// measurements; a miss seeds the session from the nearest donors.
-	var fp string
-	budget := cfg.Budget
-	var warm *cache.WarmStart
-	if cfg.Cache != nil {
-		fp = cache.Fingerprint(task, sp)
-		lsp, _ := cfg.Tracer.StartSpan(taskSC, telemetry.StageCacheLookup)
-		lsp.SetAttr("task", task.Name())
-		ce, hit := cfg.Cache.Get(fp, m.DeviceName())
-		// A stored best outside the space (a stale or hand-edited store
-		// file) is no usable hit: the session warm-starts like a miss.
-		hit = hit && ce.BestConfig < sp.Size()
-		if !hit {
-			warm = cfg.Cache.WarmStart(fp, m.DeviceName(), sp, cfg.WarmK)
-			lsp.SetAttr("donors", warmDonors(warm))
-		}
-		lsp.SetAttr("hit", hit)
-		lsp.End()
-		if hit {
-			hsp, _ := cfg.Tracer.StartSpan(taskSC, telemetry.StageCacheHit)
-			hsp.SetAttr("task", task.Name())
-			hsp.SetAttr("gflops", ce.GFLOPS)
-			tp := TaskPlan{
-				TaskName:    task.Name(),
-				TaskIndex:   task.Index,
-				Kind:        task.Kind.String(),
-				ConfigIndex: ce.BestConfig,
-				Schedule:    sp.Describe(sp.FromIndex(ce.BestConfig)),
-				GFLOPS:      ce.GFLOPS,
-				TimeMS:      ce.TimeMS,
-				Repeats:     task.Repeats,
-				FromCache:   true,
+	// Tuned-config cache: an exact hit is the result, with zero
+	// measurements; a miss may seed the session from the nearest donors.
+	dec := cfg.Cache.Decide(cfg.Tracer, taskSC, task, sp, m.DeviceName())
+	var res *tuner.Result
+	var warm bool
+	if dec.Hit {
+		res = dec.HitResult()
+	} else {
+		if tn == nil {
+			if tn, err = cfg.NewTuner(task, m.DeviceName()); err != nil {
+				return failed(err), nil
 			}
-			if cfg.GenerateKernels {
-				kern, err := codegen.Lower(task, sp, sp.FromIndex(ce.BestConfig))
-				if err != nil {
-					hsp.End()
-					return failed(err), nil
-				}
-				tp.Kernel = kern.Render()
-			}
-			hsp.End()
-			tsp.SetAttr("outcome", "cached")
-			return tp, nil
 		}
-	}
-
-	if tn == nil {
-		if tn, err = cfg.NewTuner(task, m.DeviceName()); err != nil {
-			return failed(err), nil
+		// Parent the tuner's step/measure spans under this task span, and
+		// bind the measurer chain so remote endpoints record their side
+		// under the same trace. Both are identity-only: tuners and
+		// measurers that support neither still run identically.
+		if tb, ok := tn.(interface {
+			SetTraceContext(telemetry.SpanContext)
+		}); ok {
+			tb.SetTraceContext(taskSC)
 		}
-	}
-	// Parent the tuner's step/measure spans under this task span, and
-	// bind the measurer chain so remote endpoints record their side under
-	// the same trace. Both are identity-only: tuners and measurers that
-	// support neither still run identically.
-	if tb, ok := tn.(interface {
-		SetTraceContext(telemetry.SpanContext)
-	}); ok {
-		tb.SetTraceContext(taskSC)
-	}
-	measure.BindTrace(m, taskSC)
-	if warm != nil {
-		if w, ok := tn.(cache.WarmStartable); ok {
-			w.SetWarmStart(warm)
-			budget = cache.ShrinkBudget(budget, cache.WarmBudgetFrac)
-		} else {
-			warm = nil
+		measure.BindTrace(m, taskSC)
+		var budget tuner.Budget
+		budget, warm = dec.Apply(tn, cfg.Budget)
+		if res, err = tn.Tune(task, sp, m, budget, g); err != nil {
+			return failed(fmt.Errorf("fleet: %s: %w", task.Name(), err)), nil
 		}
-	}
-	res, err := tn.Tune(task, sp, m, budget, g)
-	if err != nil {
-		return failed(fmt.Errorf("fleet: %s: %w", task.Name(), err)), nil
-	}
-	if res.BestIndex < 0 {
-		return failed(fmt.Errorf("fleet: %s: no valid configuration found", task.Name())), nil
+		if res.BestIndex < 0 {
+			return failed(fmt.Errorf("fleet: %s: no valid configuration found", task.Name())), nil
+		}
 	}
 	tp := TaskPlan{
 		TaskName:     task.Name(),
@@ -279,7 +226,8 @@ func TuneTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (
 		GPUSeconds:   res.GPUSeconds,
 		Measurements: res.Measurements,
 		Invalid:      res.Invalid,
-		WarmStarted:  warm != nil,
+		FromCache:    dec.Hit,
+		WarmStarted:  warm,
 	}
 	if cfg.GenerateKernels {
 		kern, err := codegen.Lower(task, sp, sp.FromIndex(res.BestIndex))
@@ -287,6 +235,12 @@ func TuneTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (
 			return failed(err), nil
 		}
 		tp.Kernel = kern.Render()
+	}
+	// A hit is neither checkpointed nor written back: the store already
+	// holds it.
+	if dec.Hit {
+		tsp.SetAttr("outcome", "cached")
+		return tp, nil
 	}
 	if cfg.Checkpoint != nil {
 		csp, _ := cfg.Tracer.StartSpan(taskSC, telemetry.StageCheckpoint)
@@ -297,26 +251,12 @@ func TuneTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (
 			return tp, fmt.Errorf("fleet: checkpoint %s: %w", task.Name(), err)
 		}
 	}
-	if cfg.Cache != nil {
-		if ce, ok := cache.EntryFromResult(fp, m.DeviceName(), res, sp); ok {
-			ce.Model = cfg.Model
-			ce.TaskIndex = task.Index
-			if _, err := cfg.Cache.Put(ce); err != nil {
-				return tp, fmt.Errorf("fleet: cache put %s: %w", task.Name(), err)
-			}
-		}
+	if err := dec.Record(cfg.Model, res); err != nil {
+		return tp, fmt.Errorf("fleet: cache put %s: %w", task.Name(), err)
 	}
 	tsp.SetAttr("outcome", "ok")
 	tsp.SetAttr("measurements", res.Measurements)
 	return tp, nil
-}
-
-// warmDonors renders a warm start's donor list for trace attributes.
-func warmDonors(ws *cache.WarmStart) int {
-	if ws == nil {
-		return 0
-	}
-	return len(ws.Donors)
 }
 
 // assemblePlan rolls completed task plans (in task order) into the

@@ -326,7 +326,9 @@ func TestTerminalJobIsAlreadyCounted(t *testing.T) {
 
 // TestTracedRunStreamByteIdentical: turning tracing on (without SLOs)
 // must not change one byte of the job's SSE stream or its result — the
-// determinism contract for the observability layer.
+// determinism contract for the observability layer. Both runs consult a
+// tuned-config store, and the traced one records its lookup as a
+// cache_lookup span under the job span.
 func TestTracedRunStreamByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs tuning sessions")
@@ -337,7 +339,9 @@ func TestTracedRunStreamByteIdentical(t *testing.T) {
 	var results [2][]byte
 	for i, traced := range []bool{false, true} {
 		var buf syncBuffer
-		s, base := newTestServer(t, t.TempDir(), func(c *Config) {
+		dir := t.TempDir()
+		s, base := newTestServer(t, dir, func(c *Config) {
+			c.CachePath = dir + "/tuned.jsonl"
 			if traced {
 				c.Tracer = telemetry.NewTracerProc(&buf, nil, "glimpsed")
 			}
@@ -347,8 +351,8 @@ func TestTracedRunStreamByteIdentical(t *testing.T) {
 		v := getJob(t, base, id)
 		results[i] = resultBytes(t, v.Result)
 		drainNow(t, s)
-		if traced && len(buf.events(t)) == 0 {
-			t.Fatal("traced run recorded no spans")
+		if traced {
+			checkCacheLookupSpan(t, buf.events(t))
 		}
 	}
 	if streams[0] != streams[1] {
@@ -357,6 +361,34 @@ func TestTracedRunStreamByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(results[0], results[1]) {
 		t.Fatalf("tracing changed the result:\n untraced %s\n traced   %s", results[0], results[1])
+	}
+}
+
+// checkCacheLookupSpan asserts a traced job recorded exactly one
+// cache_lookup span, parented under its job span, with the lookup's
+// outcome on a fresh store: a miss with no donors.
+func checkCacheLookupSpan(t *testing.T, events []telemetry.SpanEvent) {
+	t.Helper()
+	jobSpans := map[string]bool{}
+	var lookups []telemetry.SpanEvent
+	for _, ev := range events {
+		switch {
+		case ev.Kind != "span":
+		case ev.Stage == telemetry.StageJob:
+			jobSpans[ev.SpanID] = true
+		case ev.Stage == telemetry.StageCacheLookup:
+			lookups = append(lookups, ev)
+		}
+	}
+	if len(jobSpans) != 1 || len(lookups) != 1 {
+		t.Fatalf("traced run recorded %d job and %d cache_lookup spans, want 1 and 1", len(jobSpans), len(lookups))
+	}
+	ev := lookups[0]
+	if !jobSpans[ev.ParentID] {
+		t.Fatalf("cache_lookup span parented under %q, not the job span", ev.ParentID)
+	}
+	if ev.Attrs["hit"] != false || ev.Attrs["donors"] != float64(0) {
+		t.Fatalf("cache_lookup attrs %v, want hit false and donors 0", ev.Attrs)
 	}
 }
 

@@ -11,14 +11,12 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/neuralcompile/glimpse/internal/cache"
 	"github.com/neuralcompile/glimpse/internal/core"
 	"github.com/neuralcompile/glimpse/internal/measure"
 	"github.com/neuralcompile/glimpse/internal/rng"
 	"github.com/neuralcompile/glimpse/internal/space"
 	"github.com/neuralcompile/glimpse/internal/telemetry"
 	"github.com/neuralcompile/glimpse/internal/tlog"
-	"github.com/neuralcompile/glimpse/internal/tuner"
 	"github.com/neuralcompile/glimpse/internal/workload"
 )
 
@@ -68,10 +66,10 @@ func (tp *trainingToolkits) Toolkit(gpu string, seed int64) (*core.Toolkit, erro
 
 // runJob executes one job to a terminal state, or back to queued on
 // drain (ctx canceled), preemption, or a stale checkpoint. It follows
-// the exact cmd/glimpse discipline — toolkit from the job's seed, cache
-// exact-hit then warm start, tune with rng.New(seed).Split("tune/"+name)
-// — so a job's result is byte-identical to the one-shot CLI for the same
-// spec.
+// the exact cmd/glimpse discipline — toolkit from the job's seed, the
+// cache policy both CLIs use (cache.Store.Decide), tune with
+// rng.New(seed).Split("tune/"+name) — so a job's result is
+// byte-identical to the one-shot CLI for the same spec.
 func (s *Server) runJob(ctx context.Context, rj *runningJob) {
 	j := rj.job
 	spec := j.Spec
@@ -111,38 +109,18 @@ func (s *Server) runJob(ctx context.Context, rj *runningJob) {
 	jsp.SetAttr("task", spec.TaskIndex)
 	defer jsp.End()
 
-	budget := spec.budget()
-
 	// Tuned-config store: exact hits skip the session entirely, misses
-	// warm-start from nearest donor devices under a shrunken budget.
-	var fp string
-	var warm *cache.WarmStart
-	if s.cache != nil {
-		fp = cache.Fingerprint(task, sp)
-		if ce, hit := s.cache.Get(fp, spec.GPU); hit && ce.BestConfig < sp.Size() {
-			res := &tuner.Result{
-				TunerName:  "glimpse (cache)",
-				TaskName:   task.Name(),
-				BestIndex:  ce.BestConfig,
-				BestGFLOPS: ce.GFLOPS,
-				BestTimeMS: ce.TimeMS,
-			}
-			s.mu.Lock()
-			j.Cached = true
-			s.mu.Unlock()
-			s.tenantCounter(mCacheHits, spec.Tenant).Inc()
-			s.observeFirstProgress(j)
-			jsp.SetAttr("outcome", "cached")
-			s.finishJob(j, StateDone, "served from tuned-config cache", res)
-			return
-		}
-		warm = s.cache.WarmStart(fp, spec.GPU, sp, s.cfg.WarmK)
-		if warm != nil {
-			budget = cache.ShrinkBudget(budget, cache.WarmBudgetFrac)
-			s.mu.Lock()
-			j.Warm = true
-			s.mu.Unlock()
-		}
+	// may warm-start from the nearest donor devices.
+	dec := s.cache.Decide(s.tracer, jsc, task, sp, spec.GPU)
+	if dec.Hit {
+		s.mu.Lock()
+		j.Cached = true
+		s.mu.Unlock()
+		s.tenantCounter(mCacheHits, spec.Tenant).Inc()
+		s.observeFirstProgress(j)
+		jsp.SetAttr("outcome", "cached")
+		s.finishJob(j, StateDone, "served from tuned-config cache", dec.HitResult())
+		return
 	}
 
 	tk, err := s.cfg.Toolkits.Toolkit(spec.GPU, spec.Seed)
@@ -173,8 +151,11 @@ func (s *Server) runJob(ctx context.Context, rj *runningJob) {
 	}()
 
 	gl := tk.Tuner()
-	if warm != nil {
-		gl.SetWarmStart(warm)
+	budget, warm := dec.Apply(gl, spec.budget())
+	if warm {
+		s.mu.Lock()
+		j.Warm = true
+		s.mu.Unlock()
 	}
 	if s.tracer != nil {
 		gl.Tracer = s.tracer
@@ -249,15 +230,9 @@ func (s *Server) runJob(ctx context.Context, rj *runningJob) {
 	s.ledger.AddJob(spec.Tenant)
 
 	detail := ""
-	if s.cache != nil && !s.cache.ReadOnly() {
-		if ce, ok := cache.EntryFromResult(fp, spec.GPU, res, sp); ok {
-			ce.Model = spec.Model
-			ce.TaskIndex = task.Index
-			if _, err := s.cache.Put(ce); err != nil {
-				detail = fmt.Sprintf("result cached failed: %v", err)
-				s.logf("glimpsed: job %s: cache put: %v\n", j.ID, err)
-			}
-		}
+	if err := dec.Record(spec.Model, res); err != nil {
+		detail = fmt.Sprintf("result cached failed: %v", err)
+		s.logf("glimpsed: job %s: cache put: %v\n", j.ID, err)
 	}
 	s.finishJob(j, StateDone, detail, res)
 }

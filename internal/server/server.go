@@ -37,11 +37,10 @@ type Config struct {
 	// the budget doubles as the tenant's fair-share weight.
 	TenantBudgets map[string]float64
 	// CachePath points at a persistent tuned-config store (optional):
-	// exact hits are served with zero measurements, misses warm-start.
+	// exact hits are served with zero measurements, misses warm-start
+	// (cache.Store.Decide, the policy cmd/glimpse and cmd/fleet share).
 	CachePath     string
 	CacheReadOnly bool
-	// WarmK is the donor-device count per warm start (default 3).
-	WarmK int
 	// ArtifactsDir persists trained toolkits across restarts (optional;
 	// used by the default ToolkitProvider).
 	ArtifactsDir string
@@ -128,9 +127,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DefaultBudget <= 0 {
 		cfg.DefaultBudget = 192
 	}
-	if cfg.WarmK <= 0 {
-		cfg.WarmK = 3
-	}
 	if cfg.Toolkits == nil {
 		cfg.Toolkits = NewTrainingToolkits(cfg.ArtifactsDir)
 	}
@@ -172,12 +168,7 @@ func New(cfg Config) (*Server, error) {
 		running: map[string]*runningJob{},
 	}
 	if cfg.CachePath != "" {
-		if cfg.CacheReadOnly {
-			s.cache, err = cache.OpenReadOnly(cfg.CachePath)
-		} else {
-			s.cache, err = cache.Open(cfg.CachePath)
-		}
-		if err != nil {
+		if s.cache, err = cache.OpenMode(cfg.CachePath, cfg.CacheReadOnly); err != nil {
 			_ = st.close()
 			return nil, err
 		}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/neuralcompile/glimpse/internal/cache"
 	"github.com/neuralcompile/glimpse/internal/core"
 	"github.com/neuralcompile/glimpse/internal/gpusim"
 	"github.com/neuralcompile/glimpse/internal/hwspec"
@@ -556,6 +557,119 @@ func TestServeCacheHit(t *testing.T) {
 	if second.Result.BestGFLOPS != first.Result.BestGFLOPS {
 		t.Fatalf("cache served %v GFLOPS, tuned run found %v",
 			second.Result.BestGFLOPS, first.Result.BestGFLOPS)
+	}
+}
+
+// TestServeCacheWarmStart: a spec tuned on one GPU warm-starts the same
+// spec on another under the shrunken budget, and the warm job's result is
+// byte-identical to a one-shot warm run from the same donor entry.
+func TestServeCacheWarmStart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs tuning sessions")
+	}
+	dir := t.TempDir()
+	storePath := dir + "/tuned.jsonl"
+	s, base := newTestServer(t, dir, func(c *Config) { c.CachePath = storePath })
+	donorSpec := JobSpec{Model: workload.ResNet18, TaskIndex: 7, GPU: "rtx-2080-ti",
+		Seed: 41, MaxMeasurements: 48}
+	donor := waitTerminal(t, base, submitJob(t, base, donorSpec), 120*time.Second)
+	if donor.State != StateDone || donor.Cached || donor.Warm {
+		t.Fatalf("donor run: state=%s cached=%v warm=%v", donor.State, donor.Cached, donor.Warm)
+	}
+	spec := donorSpec
+	spec.GPU = hwspec.TitanXp
+	warm := waitTerminal(t, base, submitJob(t, base, spec), 120*time.Second)
+	drainNow(t, s)
+	if warm.State != StateDone || warm.Cached || !warm.Warm {
+		t.Fatalf("warm run: state=%s cached=%v warm=%v (%s)", warm.State, warm.Cached, warm.Warm, warm.Detail)
+	}
+	if m := warm.Result.Measurements; m > 34 {
+		t.Fatalf("warm run spent %d measurements, want at most ceil(48 × 0.7) = 34", m)
+	}
+
+	// The reference: the donor's stored entry, alone in a store, warm-starts
+	// a one-shot run with the job's toolkit, budget and seed.
+	task, err := workload.TaskByIndex(spec.Model, spec.TaskIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := space.MustForTask(task)
+	fp := cache.Fingerprint(task, sp)
+	stored, err := cache.OpenReadOnly(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, ok := stored.Get(fp, donorSpec.GPU)
+	if !ok {
+		t.Fatal("no store entry for the donor run")
+	}
+	donors := cache.NewMemory()
+	if _, err := donors.Put(entry); err != nil {
+		t.Fatal(err)
+	}
+	gl := testToolkit(t).Tuner()
+	gl.SetWarmStart(donors.WarmStart(fp, spec.GPU, sp, cache.WarmDonors))
+	norm := spec
+	norm.normalize(192)
+	want, err := gl.Tune(task, sp, measure.MustNewLocal(spec.GPU),
+		cache.ShrinkBudget(norm.budget(), cache.WarmBudgetFrac), rng.New(spec.Seed).Split("tune/"+task.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := resultBytes(t, want), resultBytes(t, warm.Result); !bytes.Equal(a, b) {
+		t.Fatalf("warm job diverged from the one-shot warm run:\n want %s\n got  %s", a, b)
+	}
+}
+
+// TestServeCacheReadOnly: a readonly store still warm-starts jobs, but
+// the result's write-back is a counted skip and the file never changes.
+func TestServeCacheReadOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs tuning sessions")
+	}
+	dir := t.TempDir()
+	storePath := dir + "/tuned.jsonl"
+	task, err := workload.TaskByIndex(workload.ResNet18, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := space.MustForTask(task)
+	w, err := cache.Open(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Put(cache.Entry{Fingerprint: cache.Fingerprint(task, sp), Device: "rtx-2080-ti",
+		BestConfig: 3, GFLOPS: 800, Samples: []cache.Sample{{Config: 3, GFLOPS: 800}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, base := newTestServer(t, dir, func(c *Config) {
+		c.CachePath = storePath
+		c.CacheReadOnly = true
+	})
+	v := waitTerminal(t, base, submitJob(t, base, JobSpec{Model: workload.ResNet18, TaskIndex: 7,
+		GPU: hwspec.TitanXp, Seed: 41, MaxMeasurements: 48}), 120*time.Second)
+	st := s.cache.Stats() // before the drain, which closes the store
+	drainNow(t, s)
+	if v.State != StateDone || v.Cached || !v.Warm || v.Detail != "" {
+		t.Fatalf("readonly run: state=%s cached=%v warm=%v detail=%q", v.State, v.Cached, v.Warm, v.Detail)
+	}
+	if st.Puts != 0 || st.PutSkips != 1 {
+		t.Fatalf("readonly store stats %+v, want 0 puts and 1 skip", st)
+	}
+	after, err := os.ReadFile(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("readonly store file changed:\nbefore: %s\nafter: %s", before, after)
 	}
 }
 

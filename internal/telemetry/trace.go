@@ -20,7 +20,6 @@ const (
 	StageMeasure        = "measure"         // hardware measurement batch
 	StageCheckpoint     = "checkpoint"      // durable task-plan append
 	StageCacheLookup    = "cache_lookup"    // tuned-config store consultation
-	StageCacheHit       = "cache_hit"       // exact hit served with zero measurements
 	StageGBTTrain       = "gbt_train"       // baseline cost-model fit
 	StageTask           = "task"            // one whole tuning task (fleet)
 	StageShard          = "shard"           // one shard of a sharded fleet run
