@@ -100,9 +100,28 @@ type Result struct {
 	Score float64
 }
 
-// Run executes batched simulated annealing and returns the topK highest-
-// scoring distinct indices visited across all chains, best first.
+// Scratch is a caller-owned workspace for Run: the score memo, cleared
+// per Run, and the chains' RNGs, reseeded in place per Run. A caller that
+// anneals again and again (a tuning session, once per step) keeps one
+// Scratch and allocates neither again. Reuse never changes a result. A
+// Scratch serves one Run at a time; the zero value is ready to use.
+type Scratch struct {
+	memo     map[int64]float64
+	memoHint int // the size memo was made for
+	base     *rng.RNG
+	chains   []*rng.RNG
+}
+
+// Run executes batched simulated annealing with a fresh workspace (see
+// Scratch.Run).
 func Run(p Problem, cfg Config, topK int, g *rng.RNG) ([]Result, error) {
+	return new(Scratch).Run(p, cfg, topK, g)
+}
+
+// Run executes batched simulated annealing and returns the topK highest-
+// scoring distinct indices visited across all chains, best first, in
+// s's workspace.
+func (s *Scratch) Run(p Problem, cfg Config, topK int, g *rng.RNG) ([]Result, error) {
 	if p.Size <= 0 {
 		return nil, fmt.Errorf("anneal: empty space")
 	}
@@ -131,14 +150,29 @@ func Run(p Problem, cfg Config, topK int, g *rng.RNG) ([]Result, error) {
 	// streams (Split alone keys off the static seed), while each chain's
 	// trajectory stays a pure function of (salt, chain) — independent of
 	// worker count and scheduling.
-	chainBase := rng.New(g.Int63n(math.MaxInt64))
+	if s.base == nil {
+		s.base = rng.New(g.Int63n(math.MaxInt64))
+	} else {
+		s.base.Reseed(g.Int63n(math.MaxInt64))
+	}
+	chainBase := s.base
 	// Hoist the fields the group closure reads: it would capture cfg (past
 	// the compiler's 128-byte by-value limit) by reference, heap-moving it.
 	initialSeed, startTemp, steps, chains := cfg.InitialSeed, cfg.StartTemp, cfg.Steps, cfg.Chains
+	// The memo is sized never to grow within a Run.
+	if hint := chains * (steps + 1); s.memo == nil || hint > s.memoHint {
+		s.memo, s.memoHint = make(map[int64]float64, hint), hint
+	} else {
+		clear(s.memo)
+	}
+	if len(s.chains) < chains {
+		s.chains = append(s.chains, make([]*rng.RNG, chains-len(s.chains))...)
+	}
 	var (
-		mu     sync.Mutex
-		best   = make(map[int64]float64, chains*(steps+1)) // the memo, sized never to grow
-		scored int                                         // indices sent to Score: observation only
+		mu       sync.Mutex
+		best     = s.memo
+		chainRNG = s.chains // each group reseeds only its own chains'
+		scored   int        // indices sent to Score: observation only
 	)
 	parallel.For(cfg.Workers, (chains+GroupSize-1)/GroupSize, func(gi int) {
 		lo := gi * GroupSize
@@ -175,7 +209,8 @@ func Run(p Problem, cfg Config, topK int, g *rng.RNG) ([]Result, error) {
 			mu.Unlock()
 		}
 		for c := 0; c < m; c++ {
-			cg[c] = chainBase.Split("chain/" + strconv.Itoa(lo+c))
+			cg[c] = chainBase.SplitInto(chainRNG[lo+c], "chain/"+strconv.Itoa(lo+c))
+			chainRNG[lo+c] = cg[c]
 			if lo+c < len(initialSeed) {
 				state[c] = initialSeed[lo+c] % p.Size
 				if state[c] < 0 {
@@ -213,19 +248,56 @@ func Run(p Problem, cfg Config, topK int, g *rng.RNG) ([]Result, error) {
 
 	sp.SetAttr("scored", scored) // varies with scheduling at >1 worker
 	sp.SetAttr("visited", len(best))
-	out := make([]Result, 0, len(best))
-	for i, s := range best {
-		out = append(out, Result{Index: i, Score: s})
+	return topResults(best, topK), nil
+}
+
+// rank orders results best first: score descending, NaN lowest (the
+// order of cmp.Compare, which also ties -0 with +0), then index
+// ascending. Indices are distinct, so the order is total.
+func rank(a, b Result) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
 	}
-	// cmp.Compare ranks NaN lowest, so the order is total.
-	slices.SortFunc(out, func(a, b Result) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
+	return cmp.Compare(a.Index, b.Index)
+}
+
+// topResults returns the k best memo entries in rank order: the first k
+// of a full sort, without sorting every visited point. A heap keeps the
+// best k seen so far with the worst at its root, so a point outside them
+// costs one comparison.
+func topResults(memo map[int64]float64, k int) []Result {
+	h := make([]Result, 0, min(k, len(memo)))
+	for i, sc := range memo {
+		r := Result{Index: i, Score: sc}
+		switch {
+		case len(h) < k:
+			h = append(h, r)
+			for c := len(h) - 1; c > 0; {
+				p := (c - 1) / 2
+				if rank(h[p], h[c]) > 0 {
+					break // the parent is already the worse
+				}
+				h[p], h[c] = h[c], h[p]
+				c = p
+			}
+		case rank(r, h[0]) < 0:
+			h[0] = r
+			for p := 0; ; {
+				w := 2*p + 1
+				if w >= len(h) {
+					break
+				}
+				if w+1 < len(h) && rank(h[w+1], h[w]) > 0 {
+					w++
+				}
+				if rank(h[p], h[w]) > 0 {
+					break // worse than both children
+				}
+				h[p], h[w] = h[w], h[p]
+				p = w
+			}
 		}
-		return cmp.Compare(a.Index, b.Index)
-	})
-	if len(out) > topK {
-		out = out[:topK]
 	}
-	return out, nil
+	slices.SortFunc(h, rank)
+	return h
 }

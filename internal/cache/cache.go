@@ -88,7 +88,7 @@ func (e *Entry) validate() error {
 type Stats struct {
 	Hits       int // exact hits served with zero measurements
 	Misses     int // lookups that found no exact entry
-	WarmStarts int // misses that produced at least one donor
+	WarmStarts int // misses whose donor transfer a tuner took (Decision.Apply)
 	Puts       int // entries appended (improvements only)
 	PutSkips   int // puts dropped (readonly store, or no improvement)
 }

@@ -59,13 +59,17 @@ func (d Decision) HitResult() *tuner.Result {
 
 // Apply hands a miss's donor transfer to tn and returns the session's
 // budget, shrunk by WarmBudgetFrac when tn took the warm start; a cold
-// miss or a tuner that is not WarmStartable keeps b.
+// miss or a tuner that is not WarmStartable keeps b. Only a warm start
+// tn takes counts as one (Stats.WarmStarts, cache_warm_start).
 func (d Decision) Apply(tn tuner.Tuner, b tuner.Budget) (budget tuner.Budget, warm bool) {
 	w, ok := tn.(WarmStartable)
 	if d.warm == nil || !ok {
 		return b, false
 	}
 	w.SetWarmStart(d.warm)
+	d.s.mu.Lock()
+	d.s.count("cache_warm_start", &d.s.stats.WarmStarts)
+	d.s.mu.Unlock()
 	return ShrinkBudget(b, WarmBudgetFrac), true
 }
 

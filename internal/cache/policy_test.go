@@ -72,6 +72,10 @@ func TestDecide(t *testing.T) {
 				}
 			}
 
+			reg := telemetry.NewRegistry()
+			if s != nil {
+				s.SetMetrics(reg)
+			}
 			var trace bytes.Buffer
 			parent := telemetry.SpanContext{TraceID: "job-1", SpanID: "job-span"}
 			d := s.Decide(telemetry.NewTracer(&trace, nil), parent, task, sp, "titan-xp")
@@ -109,6 +113,16 @@ func TestDecide(t *testing.T) {
 			}
 			if (wt.got != nil) != tc.wantWarm || (wt.got != nil && wt.got != d.warm) {
 				t.Fatalf("tuner got warm start %+v, decision has %+v", wt.got, d.warm)
+			}
+			// A warm start counts only when the tuner took it.
+			wantCount := 0
+			if tc.wantWarm {
+				wantCount = 1
+			}
+			if s != nil {
+				if st, c := s.Stats().WarmStarts, reg.Counter("cache_warm_start").Value(); st != wantCount || c != int64(wantCount) {
+					t.Fatalf("warm starts counted %d (counter %d), want %d", st, c, wantCount)
+				}
 			}
 
 			before, _ := os.ReadFile(path)

@@ -79,9 +79,6 @@ func (s *Store) WarmStart(fingerprint, device string, sp *space.Space, k int) *W
 	if len(ws.Seeds) == 0 && len(ws.Features) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	s.count("cache_warm_start", &s.stats.WarmStarts)
-	s.mu.Unlock()
 	return ws
 }
 

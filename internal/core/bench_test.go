@@ -99,14 +99,17 @@ func BenchmarkAnnealEnergy(b *testing.B) {
 
 // BenchmarkAnnealRun runs that step's whole annealer on one goroutine:
 // the energy of BenchmarkAnnealEnergy plus chain stepping, neighbour
-// proposals, the score memo and the final ranking. One op is one Run.
+// proposals, the score memo and the top-K ranking. One op is one Run,
+// in one anneal.Scratch reused across ops as a session reuses it across
+// steps.
 func BenchmarkAnnealRun(b *testing.B) {
 	recordEnergyStep(b)
 	r := &energyReplay
+	var ws anneal.Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := anneal.Run(r.problem, r.cfg, r.topK, rng.New(6)); err != nil {
+		if _, err := ws.Run(r.problem, r.cfg, r.topK, rng.New(6)); err != nil {
 			b.Fatal(err)
 		}
 	}

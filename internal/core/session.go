@@ -61,7 +61,8 @@ type TuneSession struct {
 	warmX [][]float64
 	warmY []float64
 
-	lanes lanePool // posterior workspaces, reused across steps
+	lanes  lanePool       // posterior workspaces, reused across steps
+	anneal anneal.Scratch // annealer memo and chain RNGs, reused across steps
 
 	totalBudget int
 	stall       int
@@ -111,6 +112,7 @@ func (gl *Glimpse) NewTuneSession(task workload.Task, sp *space.Space, m measure
 	if err != nil {
 		return nil, err
 	}
+	ens.Workers = gl.Workers
 
 	ts := &TuneSession{
 		gl: gl, task: task, sp: sp, s: s, m: m, g: g, sc: gl.Trace,
@@ -300,7 +302,7 @@ func (ts *TuneSession) stepIterate(sc telemetry.SpanContext) error {
 	annealCfg.Tracer = gl.Tracer // anneal.Run emits its own "anneal" span
 	annealCfg.Trace = sc         // parented under this step
 	annealCfg.InitialSeed = topMeasured(ts.xs, ts.ys, ts.visitedOrder, 3)
-	top, err := anneal.Run(anneal.Problem{
+	top, err := ts.anneal.Run(anneal.Problem{
 		Size:     sp.Size(),
 		Score:    energy,
 		Neighbor: sp.Neighbor,

@@ -6,9 +6,9 @@ package rng
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // RNG wraps math/rand with deterministic splitting: Split derives an
@@ -27,9 +27,43 @@ func New(seed int64) *RNG {
 // Split derives a child RNG whose stream depends only on the parent seed and
 // the label, not on how much the parent has been consumed.
 func (g *RNG) Split(label string) *RNG {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", g.seed, label)
-	return New(int64(h.Sum64()))
+	return New(g.splitSeed(label))
+}
+
+// SplitInto reseeds dst in place to the stream Split(label) returns,
+// reusing dst's math/rand source, and returns dst; a nil dst gets a fresh
+// Split. Whatever dst drew before is forgotten.
+func (g *RNG) SplitInto(dst *RNG, label string) *RNG {
+	if dst == nil {
+		return g.Split(label)
+	}
+	dst.Reseed(g.splitSeed(label))
+	return dst
+}
+
+// Reseed restarts g on the stream New(seed) returns, reusing g's
+// math/rand source.
+func (g *RNG) Reseed(seed int64) {
+	g.seed = seed
+	g.r.Seed(seed)
+}
+
+// splitSeed is the 64-bit FNV-1a hash of "<seed>/<label>", the child
+// seed of Split.
+func (g *RNG) splitSeed(label string) int64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var buf [24]byte
+	h := uint64(offset64)
+	for _, c := range append(strconv.AppendInt(buf[:0], g.seed, 10), '/') {
+		h = (h ^ uint64(c)) * prime64
+	}
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * prime64
+	}
+	return int64(h)
 }
 
 // Seed returns the seed this RNG was created with.

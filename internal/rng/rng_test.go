@@ -1,7 +1,10 @@
 package rng
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +38,54 @@ func TestSplitLabelsDiffer(t *testing.T) {
 	y := g.Split("b").Float64()
 	if x == y {
 		t.Fatal("different labels produced identical first draw")
+	}
+}
+
+// TestSplitSeedMatchesFNV pins Split's child seed to the FNV-1a hash of
+// "<seed>/<label>" that it has always used, so every split stream in
+// the repository keeps its values.
+func TestSplitSeedMatchesFNV(t *testing.T) {
+	for _, seed := range []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64} {
+		for _, label := range []string{"", "chain/0", "chain/63", "tune/conv2d", "ü/π"} {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%d/%s", seed, label)
+			if got, want := New(seed).Split(label).Seed(), int64(h.Sum64()); got != want {
+				t.Fatalf("Split(%q) of seed %d = %d, want %d", label, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestSplitIntoMatchesSplit reseeds one destination over and over, after
+// draws of every kind, and checks each stream against a fresh Split.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	parent := New(7)
+	var dst *RNG
+	for i := 0; i < 300; i++ {
+		label := "chain/" + strconv.Itoa(i)
+		if i%3 == 0 {
+			parent = New(int64(i) * 7919) // and across parents
+		}
+		dst = parent.SplitInto(dst, label)
+		want := parent.Split(label)
+		if dst.Seed() != want.Seed() {
+			t.Fatalf("label %q: seed %d, want %d", label, dst.Seed(), want.Seed())
+		}
+		for k := 0; k < 40; k++ {
+			a, b := dst.Float64(), want.Float64()
+			c, d := dst.Int63n(1000+int64(i)), want.Int63n(1000+int64(i))
+			e, f := dst.NormFloat64(), want.NormFloat64()
+			if a != b || c != d || e != f {
+				t.Fatalf("label %q draw %d: (%v %v %v), want (%v %v %v)", label, k, a, c, e, b, d, f)
+			}
+		}
+		// Leave dst part-way through its stream for the next reseed.
+		for k := 0; k < i%17; k++ {
+			dst.Perm(5)
+		}
+	}
+	if got := New(3).SplitInto(nil, "x"); got.Seed() != New(3).Split("x").Seed() {
+		t.Fatalf("SplitInto(nil) seed %d, want Split's", got.Seed())
 	}
 }
 

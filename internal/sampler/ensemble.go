@@ -61,7 +61,10 @@ func (p predictor) vote(res space.Resources) bool {
 // Ensemble is Glimpse's Hardware-Aware Sampling: threshold predictors
 // generated from the Blueprint embedding of an (unseen) target GPU.
 type Ensemble struct {
-	Tau        float64
+	Tau float64
+	// Workers bounds the goroutines of Select's vote; <= 0 uses the
+	// process-wide default (see internal/parallel).
+	Workers    int
 	predictors []predictor
 }
 
@@ -146,7 +149,7 @@ func (e *Ensemble) Select(task workload.Task, sp *space.Space, cands []int64, n 
 	if n <= 0 {
 		return nil
 	}
-	accepted := parallel.Map(0, len(cands), func(i int) bool {
+	accepted := parallel.Map(e.Workers, len(cands), func(i int) bool {
 		return e.Accept(task, sp, cands[i])
 	})
 	out := make([]int64, 0, n)

@@ -14,6 +14,7 @@ import (
 
 	"github.com/neuralcompile/glimpse/internal/hwspec"
 	"github.com/neuralcompile/glimpse/internal/measure"
+	"github.com/neuralcompile/glimpse/internal/parallel"
 	"github.com/neuralcompile/glimpse/internal/telemetry"
 	"github.com/neuralcompile/glimpse/internal/tlog"
 	"github.com/neuralcompile/glimpse/internal/workload"
@@ -262,6 +263,94 @@ func TestMetricszReconcilesLedger(t *testing.T) {
 		"glimpsed_queue_wait_ms{tenant=acme}", "slo ttfp_latency", "slo availability"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metricsz missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// metricszCounters reads /metricsz and returns its counter rows, name to
+// value.
+func metricszCounters(t *testing.T, base string) map[string]string {
+	t.Helper()
+	resp, err := http.Get(base + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[1] == "counter" {
+			out[f[0]] = f[2]
+		}
+	}
+	return out
+}
+
+// TestMetricszMirrorsCacheCounters: glimpsed mirrors its tuned-config
+// store's counters onto /metricsz. Over a writable store a donor run
+// counts a miss and a put, and its repeat a hit; a readonly server over
+// the same store then warm-starts the spec on another GPU and counts the
+// skipped put.
+func TestMetricszMirrorsCacheCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs tuning sessions")
+	}
+	dir := t.TempDir()
+	storePath := dir + "/tuned.jsonl"
+	spec := JobSpec{Model: workload.ResNet18, TaskIndex: 7, GPU: "rtx-2080-ti", Seed: 41, MaxMeasurements: 32}
+	phases := []struct {
+		readonly bool
+		gpus     []string
+		want     map[string]string // absent: the counter must not exist
+	}{
+		{false, []string{"rtx-2080-ti", "rtx-2080-ti"}, map[string]string{"cache_miss": "1", "cache_put": "1", "cache_hit": "1"}},
+		{true, []string{hwspec.TitanXp}, map[string]string{"cache_miss": "1", "cache_warm_start": "1", "cache_put_skip": "1"}},
+	}
+	for i, ph := range phases {
+		s, base := newTestServer(t, fmt.Sprintf("%s/state%d", dir, i), func(c *Config) {
+			c.CachePath = storePath
+			c.CacheReadOnly = ph.readonly
+		})
+		for _, gpu := range ph.gpus {
+			spec.GPU = gpu
+			if v := waitTerminal(t, base, submitJob(t, base, spec), 120*time.Second); v.State != StateDone {
+				t.Fatalf("phase %d: job on %s ended %s (%s)", i, gpu, v.State, v.Detail)
+			}
+		}
+		got := metricszCounters(t, base)
+		drainNow(t, s)
+		for _, name := range []string{"cache_hit", "cache_miss", "cache_warm_start", "cache_put", "cache_put_skip"} {
+			if got[name] != ph.want[name] {
+				t.Errorf("phase %d: /metricsz %s = %q, want %q (counters %v)", i, name, got[name], ph.want[name], got)
+			}
+		}
+	}
+}
+
+// TestSessionWorkerShare: each session tunes on an equal share of the
+// worker pool, at least one worker, and /telemetryz reports it beside
+// the session count.
+func TestSessionWorkerShare(t *testing.T) {
+	defer parallel.SetDefaultWorkers(parallel.DefaultWorkers())
+	for _, tc := range []struct{ workers, sessions, want int }{
+		{8, 4, 2}, {8, 3, 2}, {2, 2, 1}, {2, 4, 1}, {6, 1, 6},
+	} {
+		parallel.SetDefaultWorkers(tc.workers)
+		s, err := New(Config{StateDir: t.TempDir(), Sessions: tc.sessions, Log: io.Discard,
+			Toolkits: fixedToolkits{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := s.telemetryView()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if v.Sessions != tc.sessions || v.SessionWorkers != tc.want {
+			t.Errorf("%d workers, %d sessions: view reports %d sessions of %d workers, want %d",
+				tc.workers, tc.sessions, v.Sessions, v.SessionWorkers, tc.want)
 		}
 	}
 }

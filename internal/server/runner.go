@@ -151,6 +151,7 @@ func (s *Server) runJob(ctx context.Context, rj *runningJob) {
 	}()
 
 	gl := tk.Tuner()
+	gl.Workers = s.sessionWorkers
 	budget, warm := dec.Apply(gl, spec.budget())
 	if warm {
 		s.mu.Lock()

@@ -14,6 +14,7 @@ import (
 
 	"github.com/neuralcompile/glimpse/internal/cache"
 	"github.com/neuralcompile/glimpse/internal/measure"
+	"github.com/neuralcompile/glimpse/internal/parallel"
 	"github.com/neuralcompile/glimpse/internal/telemetry"
 	"github.com/neuralcompile/glimpse/internal/tlog"
 	"github.com/neuralcompile/glimpse/internal/tuner"
@@ -25,7 +26,8 @@ type Config struct {
 	// durable state that survives restarts. Required.
 	StateDir string
 	// Sessions is the number of tuning sessions run concurrently
-	// (default 4).
+	// (default 4). Each session tunes on an equal share of the worker
+	// pool, max(1, parallel.DefaultWorkers()/Sessions) goroutines.
 	Sessions int
 	// MaxQueued caps pending jobs; submissions beyond it are rejected
 	// with 429 + Retry-After (default 256).
@@ -90,6 +92,11 @@ type Server struct {
 	hub    *hub
 	ledger *tuner.Ledger
 	cache  *cache.Store
+
+	// sessionWorkers is each session's share of the worker pool
+	// (Glimpse.Workers), so concurrent jobs divide the CPUs instead of
+	// each running a goroutine per CPU.
+	sessionWorkers int
 
 	tracer  *telemetry.Tracer
 	metrics *telemetry.Registry
@@ -166,12 +173,15 @@ func New(cfg Config) (*Server, error) {
 		slo:     newSLOTracker(cfg.SLOs),
 		jobs:    map[string]*Job{},
 		running: map[string]*runningJob{},
+
+		sessionWorkers: max(1, parallel.DefaultWorkers()/cfg.Sessions),
 	}
 	if cfg.CachePath != "" {
 		if s.cache, err = cache.OpenMode(cfg.CachePath, cfg.CacheReadOnly); err != nil {
 			_ = st.close()
 			return nil, err
 		}
+		s.cache.SetMetrics(cfg.Metrics)
 	}
 	s.recoverJobs(recovered)
 	return s, nil
