@@ -62,7 +62,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8743", "server mode: listen address")
 	state := flag.String("state", "", "server mode: state directory (job journal + measurement logs)")
-	sessions := flag.Int("sessions", 4, "server mode: concurrent tuning sessions, each on max(1, NumCPU/sessions) workers")
+	sessions := flag.Int("sessions", 4, "server mode: concurrent tuning sessions; running jobs divide the CPUs")
 	queueDepth := flag.Int("queue-depth", 256, "server mode: max queued jobs before 429")
 	budget := flag.Int("budget", 192, "server mode: default measurements per job")
 	cachePath := flag.String("cache", "", "server mode: persistent tuned-config store")

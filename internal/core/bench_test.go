@@ -99,10 +99,24 @@ func BenchmarkAnnealEnergy(b *testing.B) {
 
 // BenchmarkAnnealRun runs that step's whole annealer on one goroutine:
 // the energy of BenchmarkAnnealEnergy plus chain stepping, neighbour
-// proposals, the score memo and the top-K ranking. One op is one Run,
-// in one anneal.Scratch reused across ops as a session reuses it across
-// steps.
+// proposals, the score memo and the top-K ranking. One op is one
+// package-level Run, with the fresh workspace (memo and chain RNGs) that
+// AutoTVM and Chameleon allocate every tuning round.
 func BenchmarkAnnealRun(b *testing.B) {
+	recordEnergyStep(b)
+	r := &energyReplay
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := anneal.Run(r.problem, r.cfg, r.topK, rng.New(6)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnnealScratchRun is BenchmarkAnnealRun in one anneal.Scratch
+// reused across ops, as a Glimpse session reuses it across steps.
+func BenchmarkAnnealScratchRun(b *testing.B) {
 	recordEnergyStep(b)
 	r := &energyReplay
 	var ws anneal.Scratch

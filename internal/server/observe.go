@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/neuralcompile/glimpse/internal/parallel"
 	"github.com/neuralcompile/glimpse/internal/telemetry"
 	"github.com/neuralcompile/glimpse/internal/tuner"
 )
@@ -108,25 +109,25 @@ func (s *Server) observeFirstProgress(j *Job) {
 // spend, SLO status, and the full metrics snapshot — everything
 // cmd/glimpsetop renders in one poll.
 type telemetryView struct {
-	Draining       bool                `json:"draining"`
-	Sessions       int                 `json:"sessions"`
-	SessionWorkers int                 `json:"session_workers"`
-	Queued         int                 `json:"queued"`
-	Running        int                 `json:"running"`
-	Jobs           int                 `json:"jobs"`
-	Tenants        []tuner.TenantSpend `json:"tenants"`
-	SLOs           []SLOStatus         `json:"slos,omitempty"`
-	Metrics        telemetry.Snapshot  `json:"metrics"`
+	Draining bool                `json:"draining"`
+	Sessions int                 `json:"sessions"`
+	Workers  int                 `json:"workers"`
+	Queued   int                 `json:"queued"`
+	Running  int                 `json:"running"`
+	Jobs     int                 `json:"jobs"`
+	Tenants  []tuner.TenantSpend `json:"tenants"`
+	SLOs     []SLOStatus         `json:"slos,omitempty"`
+	Metrics  telemetry.Snapshot  `json:"metrics"`
 }
 
 func (s *Server) telemetryView() telemetryView {
 	s.mu.Lock()
 	v := telemetryView{
-		Draining:       s.draining,
-		Sessions:       s.cfg.Sessions,
-		SessionWorkers: s.sessionWorkers,
-		Running:        len(s.running),
-		Jobs:           len(s.order),
+		Draining: s.draining,
+		Sessions: s.cfg.Sessions,
+		Workers:  parallel.DefaultWorkers(),
+		Running:  len(s.running),
+		Jobs:     len(s.order),
 	}
 	s.mu.Unlock()
 	v.Queued = s.queue.depth()

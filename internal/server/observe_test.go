@@ -330,27 +330,33 @@ func TestMetricszMirrorsCacheCounters(t *testing.T) {
 	}
 }
 
-// TestSessionWorkerShare: each session tunes on an equal share of the
-// worker pool, at least one worker, and /telemetryz reports it beside
-// the session count.
-func TestSessionWorkerShare(t *testing.T) {
+// TestWorkerShare: a job about to tune gets the worker pool divided
+// among the jobs running, itself included, and at least one worker, so
+// a lone job keeps every CPU; /telemetryz reports the pool beside the
+// session count.
+func TestWorkerShare(t *testing.T) {
 	defer parallel.SetDefaultWorkers(parallel.DefaultWorkers())
-	for _, tc := range []struct{ workers, sessions, want int }{
-		{8, 4, 2}, {8, 3, 2}, {2, 2, 1}, {2, 4, 1}, {6, 1, 6},
+	s, err := New(Config{StateDir: t.TempDir(), Sessions: 4, Log: io.Discard, Toolkits: fixedToolkits{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, tc := range []struct{ workers, running, want int }{
+		{8, 1, 8}, {8, 3, 2}, {8, 4, 2}, {2, 1, 2}, {2, 2, 1}, {2, 4, 1},
 	} {
 		parallel.SetDefaultWorkers(tc.workers)
-		s, err := New(Config{StateDir: t.TempDir(), Sessions: tc.sessions, Log: io.Discard,
-			Toolkits: fixedToolkits{}})
-		if err != nil {
-			t.Fatal(err)
+		s.mu.Lock()
+		for i := 0; i < tc.running; i++ {
+			s.running[fmt.Sprint("job", i)] = &runningJob{}
 		}
-		v := s.telemetryView()
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if v.Sessions != tc.sessions || v.SessionWorkers != tc.want {
-			t.Errorf("%d workers, %d sessions: view reports %d sessions of %d workers, want %d",
-				tc.workers, tc.sessions, v.Sessions, v.SessionWorkers, tc.want)
+		s.mu.Unlock()
+		got, v := s.workerShare(), s.telemetryView()
+		s.mu.Lock()
+		clear(s.running)
+		s.mu.Unlock()
+		if got != tc.want || v.Workers != tc.workers || v.Sessions != 4 {
+			t.Errorf("%d workers, %d running: share %d, want %d; view reports %d workers, %d sessions",
+				tc.workers, tc.running, got, tc.want, v.Workers, v.Sessions)
 		}
 	}
 }

@@ -151,7 +151,8 @@ func (s *Server) runJob(ctx context.Context, rj *runningJob) {
 	}()
 
 	gl := tk.Tuner()
-	gl.Workers = s.sessionWorkers
+	gl.Workers = s.workerShare()
+	jsp.SetAttr("workers", gl.Workers)
 	budget, warm := dec.Apply(gl, spec.budget())
 	if warm {
 		s.mu.Lock()

@@ -26,8 +26,8 @@ type Config struct {
 	// durable state that survives restarts. Required.
 	StateDir string
 	// Sessions is the number of tuning sessions run concurrently
-	// (default 4). Each session tunes on an equal share of the worker
-	// pool, max(1, parallel.DefaultWorkers()/Sessions) goroutines.
+	// (default 4). A job tunes on its share of the worker pool, divided
+	// among the jobs running when it starts (Server.workerShare).
 	Sessions int
 	// MaxQueued caps pending jobs; submissions beyond it are rejected
 	// with 429 + Retry-After (default 256).
@@ -92,11 +92,6 @@ type Server struct {
 	hub    *hub
 	ledger *tuner.Ledger
 	cache  *cache.Store
-
-	// sessionWorkers is each session's share of the worker pool
-	// (Glimpse.Workers), so concurrent jobs divide the CPUs instead of
-	// each running a goroutine per CPU.
-	sessionWorkers int
 
 	tracer  *telemetry.Tracer
 	metrics *telemetry.Registry
@@ -173,8 +168,6 @@ func New(cfg Config) (*Server, error) {
 		slo:     newSLOTracker(cfg.SLOs),
 		jobs:    map[string]*Job{},
 		running: map[string]*runningJob{},
-
-		sessionWorkers: max(1, parallel.DefaultWorkers()/cfg.Sessions),
 	}
 	if cfg.CachePath != "" {
 		if s.cache, err = cache.OpenMode(cfg.CachePath, cfg.CacheReadOnly); err != nil {
@@ -424,6 +417,18 @@ func (s *Server) setState(j *Job, state JobState, detail string) {
 		s.logf("glimpsed: job %s: journal: %v\n", j.ID, err)
 	}
 	s.hub.publish(j.ID, ProgressEvent{Kind: "state", State: string(state), Detail: detail})
+}
+
+// workerShare is the Glimpse.Workers of a job about to tune: the worker
+// pool divided among the jobs running now, this one included, and at
+// least one. Busy sessions then divide the CPUs instead of each running
+// a goroutine per CPU, and a job that runs alone keeps every CPU. The
+// share is fixed for the job's run; results do not depend on it.
+func (s *Server) workerShare() int {
+	s.mu.Lock()
+	n := len(s.running)
+	s.mu.Unlock()
+	return max(1, parallel.DefaultWorkers()/max(1, n))
 }
 
 // requeue sends a preempted or drained job back to the queue; its
