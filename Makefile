@@ -21,11 +21,12 @@ lint:
 # The pattern requires the mandatory " -- reason" separator, so prose
 # mentions of the directive in docs don't count; the literal placeholder
 # "rule" (not a real rule name) is the documented example form.
+WAIVER_COUNT = grep -rEn 'glint:ignore [a-z]+(,[a-z]+)* --' --include='*.go' cmd internal examples \
+	| grep -v /testdata/ | grep -v 'glint:ignore rule --' | wc -l | tr -d ' '
 .PHONY: waiver-check
 waiver-check:
 	@budget=$$(grep -E '^[0-9]+$$' .glint-waivers); \
-	count=$$(grep -rEn 'glint:ignore [a-z]+(,[a-z]+)* --' --include='*.go' cmd internal examples \
-		| grep -v /testdata/ | grep -v 'glint:ignore rule --' | wc -l | tr -d ' '); \
+	count=$$($(WAIVER_COUNT)); \
 	if [ "$$count" -gt "$$budget" ]; then \
 		echo "waiver-check: $$count //glint:ignore directives exceed the budget of $$budget;"; \
 		echo "waiver-check: remove a waiver or raise the budget in .glint-waivers with the review."; \
@@ -35,6 +36,15 @@ waiver-check:
 		echo "waiver-check: note: $$count waivers under a budget of $$budget; consider lowering .glint-waivers"; \
 	fi; \
 	echo "waiver-check: $$count waiver(s) within budget $$budget"
+
+# The size figures ROADMAP.md tracks from change to change: non-test Go
+# lines, assembly lines, and the live //glint:ignore count beside the
+# .glint-waivers budget. It prints them and gates nothing.
+.PHONY: loc
+loc:
+	@echo "non-test Go lines: $$(find cmd internal examples perfbench -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)"
+	@echo "assembly lines:    $$(find cmd internal examples perfbench -name '*.s' -exec cat {} + | wc -l)"
+	@echo "glint waivers:     $$($(WAIVER_COUNT)) (budget $$(grep -E '^[0-9]+$$' .glint-waivers))"
 
 # Formatting gate: fail if gofmt would rewrite anything.
 .PHONY: fmt-check
@@ -143,8 +153,9 @@ bench-train:
 # Surrogate-layer benchmarks as a machine-readable artifact: the
 # annealer's batch energy replaying one recorded tuning step (0
 # allocs/op), that step's whole one-worker anneal.Run (energy, chain
-# stepping, score memo and ranking) with a fresh workspace and in a
-# reused anneal.Scratch, the GP posterior at 144 rows (the
+# stepping, score memo and ranking) with a fresh workspace, as the
+# package-level Run allocates one per call, and in a reused
+# anneal.Scratch, as every tuning session anneals, the GP posterior at 144 rows (the
 # pre-lane reference, one lane and four lanes, with ns/query to compare
 # them), and the GP hyperparameter grid fit. -cpu 2 pins the names as
 # for bench-train.

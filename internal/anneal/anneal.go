@@ -113,7 +113,8 @@ type Scratch struct {
 }
 
 // Run executes batched simulated annealing with a fresh workspace (see
-// Scratch.Run).
+// Scratch.Run), for one-off calls. A caller that anneals again and again
+// keeps a Scratch, as tuner.Session does for every tuner.
 func Run(p Problem, cfg Config, topK int, g *rng.RNG) ([]Result, error) {
 	return new(Scratch).Run(p, cfg, topK, g)
 }

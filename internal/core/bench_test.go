@@ -65,9 +65,9 @@ func recordEnergyStep(b *testing.B) {
 		r.energy = ts.energy(sur, 0.2)
 		r.cfg = anneal.DefaultConfig()
 		r.cfg.Workers = 1
-		r.cfg.InitialSeed = topMeasured(ts.xs, ts.ys, ts.visitedOrder, 3)
+		r.cfg.InitialSeed = topMeasured(ts.s.Values(), ts.s.Indices(), 3)
 		r.problem = anneal.Problem{Size: sp.Size(), Score: r.energy, Neighbor: sp.Neighbor}
-		r.topK = ts.pool
+		r.topK = poolPerBatch * ts.batch
 		record := r.problem
 		record.Score = func(idx []int64, out []float64) {
 			r.batches = append(r.batches, append([]int64(nil), idx...))
@@ -100,8 +100,9 @@ func BenchmarkAnnealEnergy(b *testing.B) {
 // BenchmarkAnnealRun runs that step's whole annealer on one goroutine:
 // the energy of BenchmarkAnnealEnergy plus chain stepping, neighbour
 // proposals, the score memo and the top-K ranking. One op is one
-// package-level Run, with the fresh workspace (memo and chain RNGs) that
-// AutoTVM and Chameleon allocate every tuning round.
+// package-level Run, which allocates a fresh workspace (memo and chain
+// RNGs) per call. No tuner takes that path any more, since each anneals
+// in its tuner.Session's Scratch; this bench prices what the reuse saves.
 func BenchmarkAnnealRun(b *testing.B) {
 	recordEnergyStep(b)
 	r := &energyReplay
@@ -115,7 +116,8 @@ func BenchmarkAnnealRun(b *testing.B) {
 }
 
 // BenchmarkAnnealScratchRun is BenchmarkAnnealRun in one anneal.Scratch
-// reused across ops, as a Glimpse session reuses it across steps.
+// reused across ops, as every tuner's tuner.Session reuses it across
+// rounds.
 func BenchmarkAnnealScratchRun(b *testing.B) {
 	recordEnergyStep(b)
 	r := &energyReplay

@@ -13,8 +13,6 @@
 package core
 
 import (
-	"math"
-
 	"github.com/neuralcompile/glimpse/internal/acq"
 	"github.com/neuralcompile/glimpse/internal/blueprint"
 	"github.com/neuralcompile/glimpse/internal/cache"
@@ -36,11 +34,8 @@ type Glimpse struct {
 	Acq    *acq.Neural
 	Target hwspec.Spec
 
-	BatchSize    int     // measurements per step (default 16)
-	PoolSize     int     // explorer candidates per step (default 4×batch)
-	EnsembleSize int     // invalid-config predictor count (default 9)
-	Tau          float64 // rejection vote threshold (default 1/3)
-	PriorWeight  float64 // prior log-prob weight in the SA energy (default 0.15)
+	BatchSize int     // measurements per step (default 16)
+	Tau       float64 // rejection vote threshold (default 1/3)
 	// Workers bounds the goroutines for the annealer, candidate scoring,
 	// and the ensemble vote; <= 0 uses the process-wide default (see
 	// internal/parallel). Results are identical for any worker count.
@@ -112,6 +107,16 @@ func (l *LazyGlimpse) Tune(task workload.Task, sp *space.Space, m measure.Measur
 	return gl.Tune(task, sp, m, budget, g)
 }
 
+// The search's fixed shape, beside the batch size: the explorer keeps
+// poolPerBatch candidates per measurement, ensembleSize threshold
+// predictors vote on validity, and the prior's log-probability enters the
+// annealer's energy at priorWeight.
+const (
+	poolPerBatch = 4
+	ensembleSize = 9
+	priorWeight  = 0.15
+)
+
 // warmDiscount scales donor surrogate rows below the target's own
 // normalized maximum (1.0): transferred samples rank regions, they do not
 // assert the target's peak throughput.
@@ -140,17 +145,16 @@ func (gl *Glimpse) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 	}
 }
 
-// topMeasured returns the config indices of the k best measurements.
-func topMeasured(xs [][]float64, ys []float64, order []int64, k int) []int64 {
+// topMeasured returns the config indices of the k best measurements,
+// given their values ys and indices order in measurement order.
+func topMeasured(ys []float64, order []int64, k int) []int64 {
 	type pair struct {
 		idx int64
 		y   float64
 	}
 	pairs := make([]pair, 0, len(ys))
 	for i, y := range ys {
-		if i < len(order) {
-			pairs = append(pairs, pair{order[i], y})
-		}
+		pairs = append(pairs, pair{order[i], y})
 	}
 	out := make([]int64, 0, k)
 	for i := 0; i < k && i < len(pairs); i++ {
@@ -220,18 +224,6 @@ func capGPSet(xs [][]float64, ys []float64, cap int) ([][]float64, []float64) {
 	return ox, oy
 }
 
-func normalize(v []float64) []float64 {
-	mx := maxOf(v)
-	out := make([]float64, len(v))
-	if mx == 0 {
-		return out
-	}
-	for i, x := range v {
-		out[i] = x / mx
-	}
-	return out
-}
-
 func maxOf(v []float64) float64 {
 	mx := 0.0
 	for _, x := range v {
@@ -240,11 +232,4 @@ func maxOf(v []float64) float64 {
 		}
 	}
 	return mx
-}
-
-func sqrtPos(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }

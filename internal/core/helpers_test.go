@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"github.com/neuralcompile/glimpse/internal/tuner"
 )
 
 func TestCapGPSetUnderCap(t *testing.T) {
@@ -45,33 +47,32 @@ func TestCapGPSetKeepsBestAndRecent(t *testing.T) {
 }
 
 func TestTopMeasured(t *testing.T) {
-	xs := [][]float64{{0}, {0}, {0}, {0}}
 	ys := []float64{5, 30, 10, 20}
 	order := []int64{100, 200, 300, 400}
-	top := topMeasured(xs, ys, order, 2)
+	top := topMeasured(ys, order, 2)
 	if len(top) != 2 || top[0] != 200 || top[1] != 400 {
 		t.Fatalf("topMeasured = %v want [200 400]", top)
 	}
 	// k larger than data.
-	top = topMeasured(xs, ys, order, 10)
+	top = topMeasured(ys, order, 10)
 	if len(top) != 4 {
 		t.Fatalf("topMeasured full = %v", top)
 	}
 }
 
 func TestNormalizeAndMax(t *testing.T) {
-	v := normalize([]float64{2, 4, 0})
+	v := tuner.Normalize([]float64{2, 4, 0})
 	if v[1] != 1 || v[0] != 0.5 || v[2] != 0 {
 		t.Fatalf("normalize = %v", v)
 	}
-	if got := normalize([]float64{0, 0}); got[0] != 0 || got[1] != 0 {
+	if got := tuner.Normalize([]float64{0, 0}); got[0] != 0 || got[1] != 0 {
 		t.Fatalf("normalize zeros = %v", got)
 	}
 	if maxOf([]float64{1, 3, 2}) != 3 {
 		t.Fatal("maxOf")
 	}
-	if sqrtPos(-1) != 0 || math.Abs(sqrtPos(4)-2) > 1e-12 {
-		t.Fatal("sqrtPos")
+	if tuner.SqrtPos(-1) != 0 || math.Abs(tuner.SqrtPos(4)-2) > 1e-12 {
+		t.Fatal("SqrtPos")
 	}
 }
 

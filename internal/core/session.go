@@ -43,26 +43,18 @@ type TuneSession struct {
 	sc   telemetry.SpanContext // parent context for step spans (gl.Trace at open)
 	step int                   // 1-based step counter, a span attribute only
 
-	batch  int
-	pool   int
-	priorW float64
+	batch int
 
 	hw     []float64
 	dist   *prior.Dist
 	scorer *prior.Scorer
 	ens    *sampler.Ensemble
 
-	xs           [][]float64
-	ys           []float64
-	visitedOrder []int64
-	visited      map[int64]bool
-
 	seeds []int64
 	warmX [][]float64
 	warmY []float64
 
-	lanes  lanePool       // posterior workspaces, reused across steps
-	anneal anneal.Scratch // annealer memo and chain RNGs, reused across steps
+	lanes lanePool // posterior workspaces, reused across steps
 
 	totalBudget int
 	stall       int
@@ -84,17 +76,9 @@ func (gl *Glimpse) NewTuneSession(task workload.Task, sp *space.Space, m measure
 	if batch <= 0 {
 		batch = 16
 	}
-	pool := gl.PoolSize
-	if pool <= 0 {
-		pool = 4 * batch
-	}
 	tau := gl.Tau
 	if tau <= 0 {
 		tau = sampler.DefaultTau
-	}
-	priorW := gl.PriorWeight
-	if priorW <= 0 {
-		priorW = 0.15
 	}
 
 	s, err := tuner.NewSession(gl.Name(), task, sp, m, budget, g)
@@ -108,7 +92,7 @@ func (gl *Glimpse) NewTuneSession(task workload.Task, sp *space.Space, m measure
 		return nil, err
 	}
 	scorer := dist.Scorer(sp)
-	ens, err := sampler.NewEnsemble(gl.Emb, hw, gl.EnsembleSize, tau, g.Split("ensemble"))
+	ens, err := sampler.NewEnsemble(gl.Emb, hw, ensembleSize, tau, g.Split("ensemble"))
 	if err != nil {
 		return nil, err
 	}
@@ -116,9 +100,7 @@ func (gl *Glimpse) NewTuneSession(task workload.Task, sp *space.Space, m measure
 
 	ts := &TuneSession{
 		gl: gl, task: task, sp: sp, s: s, m: m, g: g, sc: gl.Trace,
-		batch: batch, pool: pool, priorW: priorW,
-		hw: hw, dist: dist, scorer: scorer, ens: ens,
-		visited: map[int64]bool{},
+		batch: batch, hw: hw, dist: dist, scorer: scorer, ens: ens,
 	}
 	// One free slot per scoring goroutine: at most that many workspaces
 	// are ever in use at once.
@@ -168,8 +150,8 @@ func (ts *TuneSession) selector(sc telemetry.SpanContext, cands []int64, n int) 
 	return kept
 }
 
-// record measures one batch and folds the results into the surrogate's
-// training set.
+// record measures one batch, which the tuner.Session appends to the
+// surrogate's training set.
 func (ts *TuneSession) record(sc telemetry.SpanContext, idxs []int64) error {
 	msp, msc := ts.gl.Tracer.StartSpan(sc, telemetry.StageMeasure)
 	msp.SetAttr("batch", len(idxs))
@@ -191,17 +173,6 @@ func (ts *TuneSession) record(sc telemetry.SpanContext, idxs []int64) error {
 	}
 	msp.SetAttr("valid", valid)
 	msp.End()
-	ts.s.RecordInitialBatch(results)
-	for i, r := range results {
-		ts.visited[idxs[i]] = true
-		ts.visitedOrder = append(ts.visitedOrder, idxs[i])
-		v := 0.0
-		if r.Valid {
-			v = r.GFLOPS
-		}
-		ts.xs = append(ts.xs, ts.sp.FeaturesAt(idxs[i]))
-		ts.ys = append(ts.ys, v)
-	}
 	return nil
 }
 
@@ -241,12 +212,13 @@ func (ts *TuneSession) stepInitial(sc telemetry.SpanContext) error {
 // warm session's late-run search matches a cold one's. It also returns the
 // best normalized target.
 func (ts *TuneSession) surrogate(sc telemetry.SpanContext) (*gp.Regressor, float64, error) {
-	if len(ts.xs) >= 2*len(ts.warmY) {
+	xs := ts.s.Features()
+	if len(xs) >= 2*len(ts.warmY) {
 		ts.warmX, ts.warmY = nil, nil
 	}
-	ny := normalize(ts.ys)
-	gpx := make([][]float64, 0, len(ts.warmX)+len(ts.xs))
-	gpx = append(append(gpx, ts.warmX...), ts.xs...)
+	ny := tuner.Normalize(ts.s.Values())
+	gpx := make([][]float64, 0, len(ts.warmX)+len(xs))
+	gpx = append(append(gpx, ts.warmX...), xs...)
 	gpy := make([]float64, 0, len(ts.warmY)+len(ny))
 	gpy = append(append(gpy, ts.warmY...), ny...)
 	gx, gy := capGPSet(gpx, gpy, 144)
@@ -270,9 +242,9 @@ func (ts *TuneSession) energy(sur *gp.Regressor, kappa float64) func(idx []int64
 			batch := idx[lo:min(lo+gp.Lanes, len(idx))]
 			mean, variance := pl.predict(sur, ts.sp, batch)
 			for l, i := range batch {
-				v := mean[l] + kappa*sqrtPos(variance[l])
+				v := mean[l] + kappa*tuner.SqrtPos(variance[l])
 				if !ts.gl.DisablePrior {
-					v += ts.priorW * ts.scorer.LogProbIndex(i) / 10
+					v += priorWeight * ts.scorer.LogProbIndex(i) / 10
 				}
 				out[lo+l] = v
 			}
@@ -301,12 +273,12 @@ func (ts *TuneSession) stepIterate(sc telemetry.SpanContext) error {
 	annealCfg.Workers = gl.Workers
 	annealCfg.Tracer = gl.Tracer // anneal.Run emits its own "anneal" span
 	annealCfg.Trace = sc         // parented under this step
-	annealCfg.InitialSeed = topMeasured(ts.xs, ts.ys, ts.visitedOrder, 3)
-	top, err := ts.anneal.Run(anneal.Problem{
+	annealCfg.InitialSeed = topMeasured(ts.s.Values(), ts.s.Indices(), 3)
+	top, err := ts.s.Anneal(anneal.Problem{
 		Size:     sp.Size(),
 		Score:    energy,
 		Neighbor: sp.Neighbor,
-	}, annealCfg, ts.pool, ts.g)
+	}, annealCfg, poolPerBatch*ts.batch, ts.g)
 	if err != nil {
 		return err
 	}
@@ -314,7 +286,7 @@ func (ts *TuneSession) stepIterate(sc telemetry.SpanContext) error {
 	progress := float64(ts.s.Snapshot().Measurements) / float64(ts.totalBudget)
 	var fresh []int64
 	for _, r := range top {
-		if !ts.visited[r.Index] {
+		if !ts.s.Visited(r.Index) {
 			fresh = append(fresh, r.Index)
 		}
 	}
@@ -337,7 +309,7 @@ func (ts *TuneSession) stepIterate(sc telemetry.SpanContext) error {
 		for l, i := range batch {
 			stats[lo+l] = acq.Stats{
 				Mean:         mean[l],
-				Std:          sqrtPos(variance[l]),
+				Std:          tuner.SqrtPos(variance[l]),
 				Best:         best,
 				Progress:     progress,
 				PriorLogProb: ts.scorer.LogProbIndex(i),
@@ -387,7 +359,7 @@ func (ts *TuneSession) stepIterate(sc telemetry.SpanContext) error {
 		}
 		var unseen []int64
 		for _, idx := range freshDraw {
-			if !ts.visited[idx] {
+			if !ts.s.Visited(idx) {
 				unseen = append(unseen, idx)
 			}
 		}

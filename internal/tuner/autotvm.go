@@ -23,11 +23,13 @@ type TransferData struct {
 // only through measurements — it is the canonical hardware-agnostic tuner.
 type AutoTVM struct {
 	BatchSize int           // measurements per step (default 16)
-	Epsilon   float64       // random fraction per batch (default 0.1)
 	Transfer  *TransferData // optional transfer-learning warm start
 	Anneal    anneal.Config // SA schedule (default DefaultConfig)
-	Model     gbt.Config    // cost-model config (default DefaultConfig)
+	Model     gbt.Config    // cost-model config (default compactModel)
 }
+
+// autotvmEpsilon is the random fraction of each model-guided batch.
+const autotvmEpsilon = 0.1
 
 // Name identifies the tuner.
 func (a AutoTVM) Name() string {
@@ -45,46 +47,14 @@ func (a AutoTVM) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 	if batch <= 0 {
 		batch = 16
 	}
-	eps := a.Epsilon
-	if eps <= 0 {
-		eps = 0.1
-	}
 	// anneal.Run defaults non-positive schedule fields individually, so a
 	// partial a.Anneal (e.g. only Workers set) passes through untouched.
 	annealCfg := a.Anneal
-	modelCfg := a.Model
-	if modelCfg.Trees <= 0 {
-		tuned := gbt.DefaultConfig()
-		tuned.Trees = 30 // compact in-loop model (AutoTVM's plan-size scale)
-		tuned.Objective, tuned.RankPairs, tuned.Workers = modelCfg.Objective, modelCfg.RankPairs, modelCfg.Workers
-		modelCfg = tuned
-	}
+	modelCfg := compactModel(a.Model)
 
 	s, err := NewSession(a.Name(), task, sp, m, budget, g)
 	if err != nil {
 		return nil, err
-	}
-
-	var feats [][]float64
-	var ys []float64
-	visited := map[int64]bool{}
-
-	record := func(idxs []int64) error {
-		results, err := s.MeasureBatch(idxs)
-		if err != nil {
-			return err
-		}
-		s.RecordInitialBatch(results)
-		for i, r := range results {
-			visited[idxs[i]] = true
-			v := 0.0
-			if r.Valid {
-				v = r.GFLOPS
-			}
-			feats = append(feats, sp.FeaturesAt(idxs[i]))
-			ys = append(ys, v)
-		}
-		return nil
 	}
 
 	// First batch: random, or model-guided when transfer logs exist.
@@ -95,39 +65,39 @@ func (a AutoTVM) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 	if a.Transfer != nil && len(a.Transfer.Features) > 0 {
 		model, err := gbt.Train(a.Transfer.Features, a.Transfer.GFLOPS, modelCfg, g.Split("tl-model"))
 		if err == nil {
-			if proposal := a.propose(sp, model, nil, batch, annealCfg, visited, eps, g.Split("tl-propose")); len(proposal) > 0 {
+			if proposal := propose(s, model, nil, batch, annealCfg, g.Split("tl-propose")); len(proposal) > 0 {
 				first = proposal[:min(len(proposal), s.Remaining(batch))]
 			}
 		}
 	}
-	if err := record(first); err != nil {
+	if _, err := s.MeasureBatch(first); err != nil {
 		return nil, err
 	}
 
 	for !s.Done() {
 		// Warm-up: keep sampling randomly until the cost model has enough
 		// signal to rank candidates (AutoTVM's plan_size warm-up).
-		if len(ys) < 2*batch && a.Transfer == nil {
+		if len(s.Values()) < 2*batch && a.Transfer == nil {
 			idxs := make([]int64, 0, s.Remaining(batch))
 			for len(idxs) < s.Remaining(batch) {
 				idx := sp.RandomIndex(g)
-				if !visited[idx] {
-					visited[idx] = true
+				if !s.Visited(idx) {
+					s.Visit(idx)
 					idxs = append(idxs, idx)
 				}
 			}
 			if len(idxs) == 0 {
 				break
 			}
-			if err := record(idxs); err != nil {
+			if _, err := s.MeasureBatch(idxs); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		trainX, trainY := feats, ys
+		trainX, trainY := s.Features(), s.Values()
 		if a.Transfer != nil && len(a.Transfer.Features) > 0 {
-			trainX = append(append([][]float64{}, a.Transfer.Features...), feats...)
-			trainY = append(append([]float64{}, a.Transfer.GFLOPS...), ys...)
+			trainX = append(append([][]float64{}, a.Transfer.Features...), trainX...)
+			trainY = append(append([]float64{}, a.Transfer.GFLOPS...), trainY...)
 		}
 		model, err := gbt.Train(trainX, trainY, modelCfg, g)
 		if err != nil {
@@ -137,11 +107,11 @@ func (a AutoTVM) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 		if s.res.BestIndex >= 0 {
 			seeds = append(seeds, s.res.BestIndex)
 		}
-		idxs := a.propose(sp, model, seeds, s.Remaining(batch), annealCfg, visited, eps, g)
+		idxs := propose(s, model, seeds, s.Remaining(batch), annealCfg, g)
 		if len(idxs) == 0 {
 			break
 		}
-		if err := record(idxs); err != nil {
+		if _, err := s.MeasureBatch(idxs); err != nil {
 			return nil, err
 		}
 	}
@@ -149,60 +119,67 @@ func (a AutoTVM) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 }
 
 // propose runs SA over the cost model and assembles an ε-greedy batch of
-// unvisited candidates.
-func (a AutoTVM) propose(sp *space.Space, model *gbt.Ensemble, seeds []int64, n int,
-	cfg anneal.Config, visited map[int64]bool, eps float64, g *rng.RNG) []int64 {
+// unvisited candidates, reserving each with s.Visit.
+func propose(s *Session, model *gbt.Ensemble, seeds []int64, n int,
+	cfg anneal.Config, g *rng.RNG) []int64 {
 
 	if n <= 0 {
 		return nil
 	}
 	cfg.InitialSeed = seeds
-	problem := anneal.Problem{
-		Size:     sp.Size(),
-		Score:    gbtScore(model, sp),
-		Neighbor: sp.Neighbor,
-	}
-	top, err := anneal.Run(problem, cfg, 4*n, g)
+	top, err := s.Anneal(gbtProblem(model, s.sp), cfg, 4*n, g)
 	if err != nil {
 		return nil
 	}
 	out := make([]int64, 0, n)
-	nRandom := int(eps * float64(n))
+	nRandom := int(autotvmEpsilon * float64(n))
 	// Walk the ranked list with a stride so the batch spans several score
 	// levels instead of one tight cluster of near-identical neighbours.
 	for stride := 2; stride >= 1 && len(out) < n-nRandom; stride-- {
 		for i := 0; i < len(top) && len(out) < n-nRandom; i += stride {
 			r := top[i]
-			if !visited[r.Index] {
+			if !s.Visited(r.Index) {
 				out = append(out, r.Index)
-				visited[r.Index] = true
+				s.Visit(r.Index)
 			}
 		}
 	}
 	for len(out) < n {
-		idx := sp.RandomIndex(g)
-		if !visited[idx] {
+		idx := s.sp.RandomIndex(g)
+		if !s.Visited(idx) {
 			out = append(out, idx)
-			visited[idx] = true
+			s.Visit(idx)
 		}
 	}
 	return out
 }
 
-// gbtScore is the annealer's batch energy for a GBT cost model.
-func gbtScore(model *gbt.Ensemble, sp *space.Space) func(idx []int64, out []float64) {
-	return func(idx []int64, out []float64) {
-		buf := make([]float64, 0, sp.FeatureLen())
-		for j, i := range idx {
-			buf = sp.FeaturesInto(i, buf)
-			out[j] = model.Predict(buf)
-		}
+// compactModel is the in-loop cost model AutoTVM and Chameleon refit
+// every round: gbt's defaults at 30 trees (AutoTVM's plan-size scale),
+// keeping base's objective, rank pairs, workers and tracer. A base that
+// sets Trees is used as is.
+func compactModel(base gbt.Config) gbt.Config {
+	if base.Trees > 0 {
+		return base
 	}
+	cfg := gbt.DefaultConfig()
+	cfg.Trees = 30
+	cfg.Objective, cfg.RankPairs, cfg.Workers, cfg.Tracer = base.Objective, base.RankPairs, base.Workers, base.Tracer
+	return cfg
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// gbtProblem is the annealer's problem over sp for a GBT cost model: its
+// batch energy is the model's prediction.
+func gbtProblem(model *gbt.Ensemble, sp *space.Space) anneal.Problem {
+	return anneal.Problem{
+		Size: sp.Size(),
+		Score: func(idx []int64, out []float64) {
+			buf := make([]float64, 0, sp.FeatureLen())
+			for j, i := range idx {
+				buf = sp.FeaturesInto(i, buf)
+				out[j] = model.Predict(buf)
+			}
+		},
+		Neighbor: sp.Neighbor,
 	}
-	return b
 }

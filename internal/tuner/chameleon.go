@@ -18,8 +18,6 @@ import (
 // hardware-agnostic: validity and architecture never enter the loop.
 type Chameleon struct {
 	BatchSize int // measurements per step (default 16)
-	PoolSize  int // explorer candidates clustered per step (default 4×batch)
-	Model     gbt.Config
 }
 
 // Name identifies the tuner.
@@ -33,59 +31,28 @@ func (c Chameleon) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 	if batch <= 0 {
 		batch = 16
 	}
-	pool := c.PoolSize
-	if pool <= 0 {
-		pool = 4 * batch
-	}
-	modelCfg := c.Model
-	if modelCfg.Trees <= 0 {
-		tuned := gbt.DefaultConfig()
-		tuned.Trees = 30 // compact in-loop model, as in the AutoTVM baseline
-		tuned.Objective, tuned.RankPairs, tuned.Workers = modelCfg.Objective, modelCfg.RankPairs, modelCfg.Workers
-		modelCfg = tuned
-	}
+	pool := 4 * batch // explorer candidates clustered per step
+	modelCfg := compactModel(gbt.Config{})
 
 	s, err := NewSession(c.Name(), task, sp, m, budget, g)
 	if err != nil {
 		return nil, err
 	}
-
-	var feats [][]float64
-	var ys []float64
-	visited := map[int64]bool{}
 	clusterSampler := sampler.Cluster{}
-
-	record := func(idxs []int64) error {
-		results, err := s.MeasureBatch(idxs)
-		if err != nil {
-			return err
-		}
-		s.RecordInitialBatch(results)
-		for i, r := range results {
-			visited[idxs[i]] = true
-			v := 0.0
-			if r.Valid {
-				v = r.GFLOPS
-			}
-			feats = append(feats, sp.FeaturesAt(idxs[i]))
-			ys = append(ys, v)
-		}
-		return nil
-	}
 
 	// Seed batch: random (Chameleon has no prior knowledge either).
 	first := make([]int64, s.Remaining(batch))
 	for i := range first {
 		first[i] = sp.RandomIndex(g)
 	}
-	if err := record(first); err != nil {
+	if _, err := s.MeasureBatch(first); err != nil {
 		return nil, err
 	}
 
 	plateau := 0
 	lastBest := s.res.BestGFLOPS
 	for !s.Done() {
-		model, err := gbt.Train(feats, ys, modelCfg, g)
+		model, err := gbt.Train(s.Features(), s.Values(), modelCfg, g)
 		if err != nil {
 			return nil, err
 		}
@@ -99,18 +66,13 @@ func (c Chameleon) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 		}
 		annealCfg.InitialSeed = seeds
 
-		problem := anneal.Problem{
-			Size:     sp.Size(),
-			Score:    gbtScore(model, sp),
-			Neighbor: sp.Neighbor,
-		}
-		top, err := anneal.Run(problem, annealCfg, pool, g)
+		top, err := s.Anneal(gbtProblem(model, sp), annealCfg, pool, g)
 		if err != nil {
 			return nil, err
 		}
 		cands := make([]int64, 0, len(top))
 		for _, r := range top {
-			if !visited[r.Index] {
+			if !s.Visited(r.Index) {
 				cands = append(cands, r.Index)
 			}
 		}
@@ -122,7 +84,7 @@ func (c Chameleon) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 		if len(selected) == 0 {
 			break
 		}
-		if err := record(selected); err != nil {
+		if _, err := s.MeasureBatch(selected); err != nil {
 			return nil, err
 		}
 		if s.res.BestGFLOPS > lastBest*1.01 {

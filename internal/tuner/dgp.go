@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/neuralcompile/glimpse/internal/acq"
 	"github.com/neuralcompile/glimpse/internal/gp"
@@ -21,15 +20,15 @@ import (
 // configuration features, never the architecture.
 type DGP struct {
 	BatchSize int // measurements per step (default 8; GP refits are costly)
-	PoolSize  int // candidates EI-ranked per step (default 32× batch)
 	// Source is the pretraining corpus: featurized configurations and
 	// GFLOPS from other tuning runs of the same template kind.
 	Source *TransferData
 	// PretrainEpochs for the feature extractor (default 150).
 	PretrainEpochs int
-	// FeatureDim of the learned GP input space (default 6).
-	FeatureDim int
 }
+
+// dgpFeatureDim is the width of the learned GP input space.
+const dgpFeatureDim = 6
 
 // Name identifies the tuner.
 func (d DGP) Name() string { return "dgp" }
@@ -45,17 +44,10 @@ func (d DGP) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 	if batch <= 0 {
 		batch = 8
 	}
-	pool := d.PoolSize
-	if pool <= 0 {
-		pool = 32 * batch
-	}
+	pool := 32 * batch // candidates EI-ranked per step
 	epochs := d.PretrainEpochs
 	if epochs <= 0 {
 		epochs = 150
-	}
-	featDim := d.FeatureDim
-	if featDim <= 0 {
-		featDim = 6
 	}
 
 	s, err := NewSession(d.Name(), task, sp, m, budget, g)
@@ -63,33 +55,11 @@ func (d DGP) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 		return nil, err
 	}
 
-	deep := gp.NewDeepRegressor(len(d.Source.Features[0]), featDim, g.Split("deep"))
+	deep := gp.NewDeepRegressor(len(d.Source.Features[0]), dgpFeatureDim, g.Split("deep"))
 	// Normalize source targets so the extractor learns shape, not scale.
-	srcY := normalizeTo01(d.Source.GFLOPS)
+	srcY := Normalize(d.Source.GFLOPS)
 	if err := deep.PretrainSource(d.Source.Features, srcY, epochs, g.Split("pretrain")); err != nil {
 		return nil, err
-	}
-
-	var xs [][]float64
-	var ys []float64
-	visited := map[int64]bool{}
-
-	record := func(idxs []int64) error {
-		results, err := s.MeasureBatch(idxs)
-		if err != nil {
-			return err
-		}
-		s.RecordInitialBatch(results)
-		for i, r := range results {
-			visited[idxs[i]] = true
-			v := 0.0
-			if r.Valid {
-				v = r.GFLOPS
-			}
-			xs = append(xs, sp.FeaturesAt(idxs[i]))
-			ys = append(ys, v)
-		}
-		return nil
 	}
 
 	// Warm start: condition the GP head on the source corpus itself and
@@ -108,7 +78,7 @@ func (d DGP) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 			if err != nil {
 				return nil, err
 			}
-			pool2 = append(pool2, cand{idx, acq.EI(mean, sqrtPos(variance), 1)})
+			pool2 = append(pool2, cand{idx, acq.EI(mean, SqrtPos(variance), 1)})
 		}
 		n := s.Remaining(batch)
 		for len(first) < n && len(pool2) > 0 {
@@ -126,29 +96,29 @@ func (d DGP) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 	for len(first) < s.Remaining(batch) {
 		first = append(first, sp.RandomIndex(g))
 	}
-	if err := record(first); err != nil {
+	if _, err := s.MeasureBatch(first); err != nil {
 		return nil, err
 	}
 
 	for !s.Done() {
-		if err := deep.FitTarget(xs, normalizeTo01(ys)); err != nil {
+		if err := deep.FitTarget(s.Features(), Normalize(s.Values())); err != nil {
 			return nil, err
 		}
-		best01 := max01(ys)
+		best01 := max01(s.Values())
 		// Candidate pool: broad random exploration plus the incumbent's
 		// neighbourhood (the GP posterior is most trustworthy near observed
 		// data — annealing on the raw posterior mean chases extrapolation
 		// artifacts), ranked by Expected Improvement.
 		cands := make([]scoredCand, 0, pool)
 		score := func(idx int64) error {
-			if visited[idx] {
+			if s.Visited(idx) {
 				return nil
 			}
 			mean, variance, err := deep.Predict(sp.FeaturesAt(idx))
 			if err != nil {
 				return err
 			}
-			cands = append(cands, scoredCand{idx, acq.EI(mean, sqrtPos(variance), best01)})
+			cands = append(cands, scoredCand{idx, acq.EI(mean, SqrtPos(variance), best01)})
 			return nil
 		}
 		for i := 0; i < pool; i++ {
@@ -181,7 +151,7 @@ func (d DGP) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 		for i := 0; i < n && i < len(cands); i++ {
 			idxs = append(idxs, cands[i].idx)
 		}
-		if err := record(idxs); err != nil {
+		if _, err := s.MeasureBatch(idxs); err != nil {
 			return nil, err
 		}
 	}
@@ -224,24 +194,6 @@ func subsample(x [][]float64, y []float64, n int, g *rng.RNG) ([][]float64, []fl
 	return ox, oy
 }
 
-// normalizeTo01 rescales values into [0, 1] by the observed max.
-func normalizeTo01(v []float64) []float64 {
-	mx := 0.0
-	for _, x := range v {
-		if x > mx {
-			mx = x
-		}
-	}
-	out := make([]float64, len(v))
-	if mx == 0 {
-		return out
-	}
-	for i, x := range v {
-		out[i] = x / mx
-	}
-	return out
-}
-
 // max01 is the incumbent in normalized space: 1 when any measurement
 // succeeded, 0 otherwise.
 func max01(v []float64) float64 {
@@ -251,11 +203,4 @@ func max01(v []float64) float64 {
 		}
 	}
 	return 0
-}
-
-func sqrtPos(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }

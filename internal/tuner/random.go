@@ -37,11 +37,9 @@ func (r Random) Tune(task workload.Task, sp *space.Space, m measure.Measurer,
 		for i := range idxs {
 			idxs[i] = sp.RandomIndex(g)
 		}
-		results, err := s.MeasureBatch(idxs)
-		if err != nil {
+		if _, err := s.MeasureBatch(idxs); err != nil {
 			return nil, err
 		}
-		s.RecordInitialBatch(results)
 	}
 	return s.Finish(), nil
 }

@@ -5,12 +5,20 @@
 // learning), Chameleon (adaptive exploration + clustering-based sampling),
 // and DGP (deep Gaussian-process transfer). Glimpse itself lives in
 // internal/core and implements the same Tuner interface.
+//
+// Every tuner runs one skeleton: measure a batch, record it, fit a
+// surrogate, propose unvisited points. Session owns everything but the
+// surrogate and the proposal: the budget and convergence rule, the
+// measured history (indices, features and values in measurement order,
+// and the visited set), and the annealer's workspace.
 package tuner
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
+	"github.com/neuralcompile/glimpse/internal/anneal"
 	"github.com/neuralcompile/glimpse/internal/gpusim"
 	"github.com/neuralcompile/glimpse/internal/measure"
 	"github.com/neuralcompile/glimpse/internal/rng"
@@ -83,8 +91,18 @@ type Tuner interface {
 	Tune(task workload.Task, sp *space.Space, m measure.Measurer, budget Budget, g *rng.RNG) (*Result, error)
 }
 
-// Session carries the shared bookkeeping of a tuning loop; exported so
-// Glimpse in internal/core can share the same budget/convergence logic.
+// Session carries the shared bookkeeping of one tuning run; exported so
+// Glimpse in internal/core shares it with the baselines. It owns:
+//   - the budget and the convergence rule (Remaining, Done);
+//   - the Result, including the first batch's values (Fig. 4);
+//   - the measured history: every measured index in measurement order,
+//     with its features and its value (GFLOPS if valid, else 0);
+//   - the visited set: every measured index, plus any a proposer
+//     reserved with Visit before measuring it;
+//   - one anneal.Scratch, so a tuner that anneals every round allocates
+//     the annealer's memo and chain RNGs once per run.
+//
+// Tuners read the history; only MeasureBatch appends to it.
 type Session struct {
 	task   workload.Task
 	sp     *space.Space
@@ -93,9 +111,14 @@ type Session struct {
 	g      *rng.RNG
 
 	res          Result
-	measured     map[int64]float64 // best valid GFLOPS seen per config
 	sinceImprove int
 	stopped      bool
+
+	idxs     []int64
+	vals     []float64
+	feats    [][]float64 // sp.FeaturesAt(idxs[i]), filled in by Features
+	visited  map[int64]bool
+	annealer anneal.Scratch
 }
 
 func NewSession(name string, task workload.Task, sp *space.Space, m measure.Measurer,
@@ -104,7 +127,7 @@ func NewSession(name string, task workload.Task, sp *space.Space, m measure.Meas
 		return nil, err
 	}
 	s := &Session{task: task, sp: sp, m: m, budget: budget, g: g,
-		measured: map[int64]float64{}}
+		visited: map[int64]bool{}}
 	s.res.TunerName = name
 	s.res.TaskName = task.Name()
 	s.res.BestIndex = -1
@@ -160,7 +183,8 @@ func (s *Session) Done() bool {
 	return false
 }
 
-// MeasureBatch runs one batch, updates bookkeeping, and applies the
+// MeasureBatch runs one batch, appends it to the history (the first
+// batch's values also become Result.InitialBatch), and applies the
 // convergence rule. It returns the raw results (aligned with idxs).
 func (s *Session) MeasureBatch(idxs []int64) ([]gpusim.Result, error) {
 	idxs = idxs[:s.Remaining(len(idxs))]
@@ -176,18 +200,22 @@ func (s *Session) MeasureBatch(idxs []int64) ([]gpusim.Result, error) {
 	for i, r := range results {
 		s.res.Measurements++
 		s.res.GPUSeconds += r.CostSec
+		s.idxs = append(s.idxs, idxs[i])
+		s.visited[idxs[i]] = true
 		if !r.Valid {
 			s.res.Invalid++
+			s.vals = append(s.vals, 0)
 			continue
 		}
-		if r.GFLOPS > s.measured[idxs[i]] {
-			s.measured[idxs[i]] = r.GFLOPS
-		}
+		s.vals = append(s.vals, r.GFLOPS)
 		if r.GFLOPS > s.res.BestGFLOPS {
 			s.res.BestGFLOPS = r.GFLOPS
 			s.res.BestTimeMS = r.TimeMS
 			s.res.BestIndex = idxs[i]
 		}
+	}
+	if s.res.InitialBatch == nil && len(s.vals) > 0 {
+		s.res.InitialBatch = append([]float64(nil), s.vals...)
 	}
 	s.res.Steps++
 	s.res.History = append(s.res.History, StepRecord{
@@ -214,28 +242,48 @@ func (s *Session) MeasureBatch(idxs []int64) ([]gpusim.Result, error) {
 	return results, nil
 }
 
-// RecordInitialBatch stores the measured GFLOPS of the first batch
-// (invalid measurements contribute 0), the quantity Fig. 4 plots.
-func (s *Session) RecordInitialBatch(results []gpusim.Result) {
-	if s.res.InitialBatch != nil {
-		return
+// Indices returns every measured index, in measurement order.
+func (s *Session) Indices() []int64 { return s.idxs }
+
+// Values returns each measurement's GFLOPS (0 if invalid), aligned with
+// Indices.
+func (s *Session) Values() []float64 { return s.vals }
+
+// Features returns each measured configuration's features, aligned with
+// Indices. They are computed on the first call that needs them, so a
+// tuner without a surrogate never pays for them.
+func (s *Session) Features() [][]float64 {
+	for _, idx := range s.idxs[len(s.feats):] {
+		s.feats = append(s.feats, s.sp.FeaturesAt(idx))
 	}
-	for _, r := range results {
-		v := 0.0
-		if r.Valid {
-			v = r.GFLOPS
-		}
-		s.res.InitialBatch = append(s.res.InitialBatch, v)
-	}
+	return s.feats
+}
+
+// Visited reports whether idx was measured or reserved with Visit.
+func (s *Session) Visited(idx int64) bool { return s.visited[idx] }
+
+// Visit reserves idx before it is measured, so the proposer that picked
+// it does not pick it again; a reserved index may never be measured.
+func (s *Session) Visit(idx int64) { s.visited[idx] = true }
+
+// Anneal runs anneal.Run in the session's workspace.
+func (s *Session) Anneal(p anneal.Problem, cfg anneal.Config, topK int, g *rng.RNG) ([]anneal.Result, error) {
+	return s.annealer.Run(p, cfg, topK, g)
 }
 
 // Finish returns a copy of the session result, materializing TopMeasured
-// from the per-config bests (collect-then-sort keeps it deterministic
-// regardless of map iteration order).
+// from the history's per-config bests (collect-then-sort keeps it
+// deterministic regardless of map iteration order).
 func (s *Session) Finish() *Result {
 	out := s.res
-	top := make([]Measured, 0, len(s.measured))
-	for idx, v := range s.measured {
+	best := map[int64]float64{}
+	for i, v := range s.vals {
+		if v > best[s.idxs[i]] {
+			best[s.idxs[i]] = v
+		}
+	}
+	top := make([]Measured, 0, len(best))
+	for idx, v := range best {
 		top = append(top, Measured{Index: idx, GFLOPS: v})
 	}
 	sort.Slice(top, func(i, j int) bool {
@@ -254,3 +302,32 @@ func (s *Session) Finish() *Result {
 // Snapshot returns a copy of the current session result without ending
 // the session.
 func (s *Session) Snapshot() Result { return s.res }
+
+// Normalize rescales values into [0, 1] by their maximum (all zeros when
+// none is positive): surrogates learn the shape of a task's throughput,
+// not its scale.
+func Normalize(v []float64) []float64 {
+	mx := 0.0
+	for _, x := range v {
+		if x > mx {
+			mx = x
+		}
+	}
+	out := make([]float64, len(v))
+	if mx == 0 {
+		return out
+	}
+	for i, x := range v {
+		out[i] = x / mx
+	}
+	return out
+}
+
+// SqrtPos is the standard deviation of a posterior variance, 0 where
+// rounding left the variance non-positive.
+func SqrtPos(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return math.Sqrt(x)
+}
