@@ -16,6 +16,7 @@ package tuner
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/neuralcompile/glimpse/internal/anneal"
@@ -116,8 +117,8 @@ type Session struct {
 
 	idxs     []int64
 	vals     []float64
-	feats    [][]float64 // sp.FeaturesAt(idxs[i]), filled in by Features
-	visited  map[int64]bool
+	feats    [][]float64    // sp.FeaturesAt(idxs[i]), filled in by Features
+	visited  map[int64]bool // built from idxs by visitedSet on first use
 	annealer anneal.Scratch
 }
 
@@ -126,8 +127,7 @@ func NewSession(name string, task workload.Task, sp *space.Space, m measure.Meas
 	if err := budget.validate(); err != nil {
 		return nil, err
 	}
-	s := &Session{task: task, sp: sp, m: m, budget: budget, g: g,
-		visited: map[int64]bool{}}
+	s := &Session{task: task, sp: sp, m: m, budget: budget, g: g}
 	s.res.TunerName = name
 	s.res.TaskName = task.Name()
 	s.res.BestIndex = -1
@@ -201,7 +201,9 @@ func (s *Session) MeasureBatch(idxs []int64) ([]gpusim.Result, error) {
 		s.res.Measurements++
 		s.res.GPUSeconds += r.CostSec
 		s.idxs = append(s.idxs, idxs[i])
-		s.visited[idxs[i]] = true
+		if s.visited != nil {
+			s.visited[idxs[i]] = true
+		}
 		if !r.Valid {
 			s.res.Invalid++
 			s.vals = append(s.vals, 0)
@@ -260,11 +262,23 @@ func (s *Session) Features() [][]float64 {
 }
 
 // Visited reports whether idx was measured or reserved with Visit.
-func (s *Session) Visited(idx int64) bool { return s.visited[idx] }
+func (s *Session) Visited(idx int64) bool { return s.visitedSet()[idx] }
 
 // Visit reserves idx before it is measured, so the proposer that picked
 // it does not pick it again; a reserved index may never be measured.
-func (s *Session) Visit(idx int64) { s.visited[idx] = true }
+func (s *Session) Visit(idx int64) { s.visitedSet()[idx] = true }
+
+// visitedSet returns the visited set, built from the history on first
+// use, so a tuner that never asks (Random) never pays for it.
+func (s *Session) visitedSet() map[int64]bool {
+	if s.visited == nil {
+		s.visited = make(map[int64]bool, len(s.idxs))
+		for _, idx := range s.idxs {
+			s.visited[idx] = true
+		}
+	}
+	return s.visited
+}
 
 // Anneal runs anneal.Run in the session's workspace.
 func (s *Session) Anneal(p anneal.Problem, cfg anneal.Config, topK int, g *rng.RNG) ([]anneal.Result, error) {
@@ -272,19 +286,15 @@ func (s *Session) Anneal(p anneal.Problem, cfg anneal.Config, topK int, g *rng.R
 }
 
 // Finish returns a copy of the session result, materializing TopMeasured
-// from the history's per-config bests (collect-then-sort keeps it
-// deterministic regardless of map iteration order).
+// from the history: each config's best valid value, best first, ties by
+// index (a total order, so the result is deterministic).
 func (s *Session) Finish() *Result {
 	out := s.res
-	best := map[int64]float64{}
+	top := make([]Measured, 0, len(s.vals))
 	for i, v := range s.vals {
-		if v > best[s.idxs[i]] {
-			best[s.idxs[i]] = v
+		if v > 0 {
+			top = append(top, Measured{Index: s.idxs[i], GFLOPS: v})
 		}
-	}
-	top := make([]Measured, 0, len(best))
-	for idx, v := range best {
-		top = append(top, Measured{Index: idx, GFLOPS: v})
 	}
 	sort.Slice(top, func(i, j int) bool {
 		if top[i].GFLOPS != top[j].GFLOPS { //glint:ignore floateq -- total-order tiebreak for sorting, not a tolerance check
@@ -292,10 +302,17 @@ func (s *Session) Finish() *Result {
 		}
 		return top[i].Index < top[j].Index
 	})
-	if len(top) > TopMeasuredCap {
-		top = top[:TopMeasuredCap]
+	// A config's first entry in this order is its best; drop the rest.
+	kept := top[:0]
+	for _, m := range top {
+		if len(kept) == TopMeasuredCap {
+			break
+		}
+		if !slices.ContainsFunc(kept, func(k Measured) bool { return k.Index == m.Index }) {
+			kept = append(kept, m)
+		}
 	}
-	out.TopMeasured = top
+	out.TopMeasured = kept
 	return &out
 }
 
