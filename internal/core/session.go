@@ -150,9 +150,9 @@ func (ts *TuneSession) selector(sc telemetry.SpanContext, cands []int64, n int) 
 	return kept
 }
 
-// record measures one batch, which the tuner.Session appends to the
-// surrogate's training set.
-func (ts *TuneSession) record(sc telemetry.SpanContext, idxs []int64) error {
+// measure runs one batch under a measure span; the tuner.Session appends
+// it to the history the surrogate trains on.
+func (ts *TuneSession) measure(sc telemetry.SpanContext, idxs []int64) error {
 	msp, msc := ts.gl.Tracer.StartSpan(sc, telemetry.StageMeasure)
 	msp.SetAttr("batch", len(idxs))
 	// Bind this measure span's identity to the measurer chain: a Remote
@@ -202,7 +202,7 @@ func (ts *TuneSession) stepInitial(sc telemetry.SpanContext) error {
 		ts.done = true
 		return nil
 	}
-	return ts.record(sc, first)
+	return ts.measure(sc, first)
 }
 
 // surrogate fits the step's GP: an exact GP on normalized measurements,
@@ -369,7 +369,7 @@ func (ts *TuneSession) stepIterate(sc telemetry.SpanContext) error {
 		ts.done = true
 		return nil
 	}
-	if err := ts.record(sc, idxs); err != nil {
+	if err := ts.measure(sc, idxs); err != nil {
 		return err
 	}
 	if cur := ts.s.Snapshot().BestGFLOPS; cur > ts.lastBest*1.005 {
