@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/neuralcompile/glimpse/internal/gpusim"
@@ -70,43 +69,53 @@ type attemptDone struct {
 // target, not in exclude. Home-shard endpoints are preferred; with
 // stealing enabled, other shards' (and homeless) endpoints are borrowed.
 // Within a class the least-served endpoint wins, ties by name, so load
-// spreads deterministically. Returns nil when nothing is leasable now.
-func (d *dispatcher) lease(exclude []*slot) (*slot, bool) {
-	excluded := func(sl *slot) bool {
-		for _, e := range exclude {
-			if e == sl {
-				return true
+// spreads deterministically. It also returns how many endpoints were
+// leasable, the leased one included, and nil when nothing is leasable
+// now. One pass over the pool, allocation-free.
+func (d *dispatcher) lease(exclude []*slot) (*slot, bool, int) {
+	for {
+		var best [2]*slot // per class: home, borrowed
+		var bestServed [2]int
+		idle := 0
+	scan:
+		for _, sl := range d.s.slots {
+			class := 0
+			if sl.home != d.shard {
+				if !d.s.sc.Steal {
+					continue
+				}
+				class = 1
+			}
+			if !sl.ep.HostsGPU(d.gpu) {
+				continue
+			}
+			for _, e := range exclude {
+				if e == sl {
+					continue scan
+				}
+			}
+			served, ok := sl.leasable(d.gpu)
+			if !ok {
+				continue
+			}
+			idle++
+			if b := best[class]; b == nil || served < bestServed[class] ||
+				served == bestServed[class] && sl.ep.Name < b.ep.Name {
+				best[class], bestServed[class] = sl, served
 			}
 		}
-		return false
-	}
-	classes := [2][]*slot{}
-	for _, sl := range d.s.slots {
-		if excluded(sl) || !sl.ep.HostsGPU(d.gpu) || !sl.ready(d.gpu) {
-			continue
+		sl, stolen := best[0], false
+		if sl == nil {
+			sl, stolen = best[1], true
 		}
-		if sl.home == d.shard {
-			classes[0] = append(classes[0], sl)
-		} else if d.s.sc.Steal {
-			classes[1] = append(classes[1], sl)
+		if sl == nil {
+			return nil, false, 0
 		}
-	}
-	for class, cands := range classes {
-		sort.Slice(cands, func(i, j int) bool {
-			si, _ := cands[i].costStats()
-			sj, _ := cands[j].costStats()
-			if si != sj {
-				return si < sj
-			}
-			return cands[i].ep.Name < cands[j].ep.Name
-		})
-		for _, sl := range cands {
-			if sl.tryAcquire() {
-				return sl, class == 1
-			}
+		if sl.tryAcquire() {
+			return sl, stolen, idle
 		}
+		// Another session took it after the scan read it idle: rescan.
 	}
-	return nil, false
 }
 
 // speculateAfter is the straggler threshold for a chunk of n indices:
@@ -116,8 +125,7 @@ func (d *dispatcher) speculateAfter(sl *slot, n int) time.Duration {
 	if d.s.sc.SpeculateAfter > 0 {
 		return d.s.sc.SpeculateAfter
 	}
-	_, ewma := sl.costStats()
-	th := time.Duration(4 * ewma * float64(n) * float64(time.Second))
+	th := time.Duration(4 * sl.ewma() * float64(n) * float64(time.Second))
 	if th < time.Millisecond {
 		th = time.Millisecond
 	}
@@ -126,7 +134,8 @@ func (d *dispatcher) speculateAfter(sl *slot, n int) time.Duration {
 
 // launch starts one attempt goroutine for ck on sl. The goroutine owns
 // the slot's busy token and releases it on exit; its result lands on the
-// buffered events channel (sized so abandoned attempts can never block).
+// buffered events channel (sized so an attempt still in flight when the
+// batch returns never blocks).
 func (d *dispatcher) launch(ck *chunk, sl *slot, twin bool, sc telemetry.SpanContext,
 	task workload.Task, sp *space.Space, idxs []int64, events chan<- attemptDone) {
 	//glint:ignore ctxflow -- attempt-scoped root: the ctx-less Measurer API ends here and every attempt is cancelled via ck.cancels on abort/finish
@@ -159,7 +168,11 @@ func (d *dispatcher) launch(ck *chunk, sl *slot, twin bool, sc telemetry.SpanCon
 }
 
 // MeasureBatch runs the chunked event loop. Chunks are cut lazily at
-// lease time so each endpoint gets a slice sized to its observed speed.
+// lease time: each takes an even share of the configs still uncut over
+// the endpoints leasable at that moment (at most MaxChunk), so an idle
+// pool measures a batch in parallel and a busy one in fewer, larger
+// chunks. It returns once every chunk has a result; cancelled attempts
+// still in flight report into the events buffer and exit on their own.
 func (d *dispatcher) MeasureBatch(task workload.Task, sp *space.Space, idxs []int64) ([]gpusim.Result, error) {
 	dsp, dsc := d.tracer.StartSpan(d.trace, telemetry.StageDispatch)
 	dsp.SetAttr("gpu", d.gpu)
@@ -168,10 +181,19 @@ func (d *dispatcher) MeasureBatch(task workload.Task, sp *space.Space, idxs []in
 	defer dsp.End()
 
 	out := make([]gpusim.Result, len(idxs))
-	// Buffered past the max possible in-flight attempts (each holds one
-	// of len(slots) busy tokens) so an attempt finishing after the loop
-	// returned can still send and exit.
-	events := make(chan attemptDone, len(d.s.slots)+4)
+	// Buffered for every attempt that can be unreceived at once, so an
+	// attempt finishing after the loop returned can still send and exit.
+	// A chunk holds at least one index and has at most two attempts in
+	// flight: its original plus one speculative twin (a twin launches
+	// only at inFlight == 1, a retry only at inFlight == 0). Busy tokens
+	// bound nothing here: an attempt releases its token after it sends,
+	// so its endpoint can take another attempt before the loop receives.
+	events := make(chan attemptDone, 2*len(idxs))
+	// One ticker per batch polls what no event announces: breaker
+	// cooldowns, the speculation threshold and LeaseTimeout. A tick that
+	// lands while the loop is busy costs one extra pass.
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
 
 	var (
 		chunks                                    []*chunk
@@ -214,9 +236,9 @@ func (d *dispatcher) MeasureBatch(task workload.Task, sp *space.Space, idxs []in
 		// Retry queue first: failed chunks block batch completion.
 		if len(retry) > 0 {
 			ck := retry[0]
-			sl, stolen := d.lease([]*slot{ck.lastFail})
+			sl, stolen, _ := d.lease([]*slot{ck.lastFail})
 			if sl == nil {
-				sl, stolen = d.lease(nil) // last resort: retry the failed endpoint
+				sl, stolen, _ = d.lease(nil) // last resort: retry the failed endpoint
 			}
 			if sl == nil {
 				return false
@@ -231,13 +253,13 @@ func (d *dispatcher) MeasureBatch(task workload.Task, sp *space.Space, idxs []in
 			d.launch(ck, sl, false, dsc, task, sp, idxs, events)
 			return true
 		}
-		// Fresh work: cut a chunk sized to the leased endpoint.
+		// Fresh work: cut an even share of the rest over the idle pool.
 		if cursor < len(idxs) {
-			sl, stolen := d.lease(nil)
+			sl, stolen, idle := d.lease(nil)
 			if sl == nil {
 				return false
 			}
-			n := sl.chunkSize(&d.s.sc, len(idxs)-cursor, len(d.s.slots))
+			n := min((len(idxs)-cursor+idle-1)/idle, d.s.sc.MaxChunk)
 			ck := &chunk{lo: cursor, hi: cursor + n}
 			cursor += n
 			chunks = append(chunks, ck)
@@ -270,7 +292,7 @@ func (d *dispatcher) MeasureBatch(task workload.Task, sp *space.Space, idxs []in
 		if cand == nil {
 			return false
 		}
-		sl, stolen := d.lease(cand.holders)
+		sl, stolen, _ := d.lease(cand.holders)
 		if sl == nil {
 			return false
 		}
@@ -289,7 +311,7 @@ func (d *dispatcher) MeasureBatch(task workload.Task, sp *space.Space, idxs []in
 	}
 
 	inFlight := 0
-	for doneCount < len(idxs) || cursor < len(idxs) || inFlight > 0 {
+	for doneCount < len(idxs) {
 		launched := false
 		for launchOne() {
 			launched = true
@@ -308,16 +330,12 @@ func (d *dispatcher) MeasureBatch(task workload.Task, sp *space.Space, idxs []in
 				return abort(fmt.Errorf("fleet: %s/%s: endpoints exhausted: %w", d.gpu, d.task, lastErr))
 			}
 		}
-		if inFlight == 0 && doneCount >= len(idxs) && cursor >= len(idxs) {
-			break
-		}
 		wait := d.s.releaseWait()
 		select {
 		case ev := <-events:
 			inFlight--
 			d.removeAttempt(ev.ck, ev.sl)
 			if ev.err != nil {
-				ev.sl.observeFailure()
 				lastErr = ev.err
 				ev.ck.lastFail = ev.sl
 				if !ev.ck.done {
@@ -350,7 +368,7 @@ func (d *dispatcher) MeasureBatch(task workload.Task, sp *space.Space, idxs []in
 				cancel() // first result wins; abort the sibling attempt
 			}
 		case <-wait:
-		case <-time.After(time.Millisecond):
+		case <-tick.C:
 		}
 	}
 	return out, nil

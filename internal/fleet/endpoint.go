@@ -37,7 +37,8 @@ func (e *Endpoint) HostsGPU(gpu string) bool {
 
 // slot is the scheduler's live state for one endpoint: the lazily-dialed
 // reliable connections, a single-owner busy token (real boards serialize
-// measurements), and the cost statistics that drive adaptive batching.
+// measurements), the served count that orders leases, and the cost
+// estimate that sets the straggler threshold.
 type slot struct {
 	ep   Endpoint
 	home int // shard index; -1 = unassigned, borrow-only
@@ -46,7 +47,6 @@ type slot struct {
 	busy    bool
 	conns   map[string]*measure.Reliable
 	served  int     // measurements completed
-	fails   int     // failed leases (chunk attempts that errored)
 	ewmaSec float64 // EWMA of observed wall seconds per measurement
 }
 
@@ -75,16 +75,14 @@ func (s *slot) conn(gpu string, cfg measure.ReliableConfig) (*measure.Reliable, 
 	return r, nil
 }
 
-// ready reports whether the endpoint's breaker (if any connection exists)
-// would admit work for gpu. An undialed endpoint is optimistically ready.
-func (s *slot) ready(gpu string) bool {
+// leasable reads the endpoint's served count and reports whether it is
+// idle and its breaker for gpu (if dialed yet) would admit work. An
+// undialed endpoint is optimistically ready.
+func (s *slot) leasable(gpu string) (int, bool) {
 	s.mu.Lock()
-	r, ok := s.conns[gpu]
+	served, busy, r := s.served, s.busy, s.conns[gpu]
 	s.mu.Unlock()
-	if !ok {
-		return true
-	}
-	return r.Ready()
+	return served, !busy && (r == nil || r.Ready())
 }
 
 // tryAcquire takes the busy token if free.
@@ -122,44 +120,10 @@ func (s *slot) observe(n int, wall time.Duration) {
 	s.mu.Unlock()
 }
 
-func (s *slot) observeFailure() {
-	s.mu.Lock()
-	s.fails++
-	s.mu.Unlock()
-}
-
-// costStats returns (served measurements, EWMA seconds per measurement).
-func (s *slot) costStats() (int, float64) {
+// ewma returns the EWMA seconds per measurement (0 before the first
+// observation).
+func (s *slot) ewma() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.served, s.ewmaSec
-}
-
-// targetChunkSeconds is the wall time one leased chunk should cost; the
-// adaptive chunk size is this over the endpoint's EWMA measurement cost.
-const targetChunkSeconds = 0.02
-
-// chunkSize adapts the batch slice leased to this endpoint so one chunk
-// targets targetChunkSeconds of wall time: fast endpoints get big
-// chunks (amortized dispatch), slow or degrading ones get small chunks
-// (bounded straggler cost, finer-grained reassignment). Before any
-// observation it falls back to an even split.
-func (s *slot) chunkSize(sc *SchedulerConfig, remaining, endpoints int) int {
-	_, ewma := s.costStats()
-	var n int
-	if ewma > 0 {
-		n = int(targetChunkSeconds / ewma)
-	} else if endpoints > 0 {
-		n = remaining / endpoints
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > sc.MaxChunk {
-		n = sc.MaxChunk
-	}
-	if n > remaining {
-		n = remaining
-	}
-	return n
+	return s.ewmaSec
 }
