@@ -13,11 +13,12 @@ import (
 )
 
 // dispatcher is the measure.Measurer handed to one tuning session. Each
-// MeasureBatch call slices the batch into per-endpoint chunks, leases
-// endpoints (preferring the unit's home shard, borrowing across shards
-// when stealing is on), re-queues chunks that failed, and speculatively
-// re-issues stragglers. Results are reassembled by index, so the tuner
-// sees exactly the batch it asked for no matter which endpoints served it.
+// MeasureBatch call spreads the batch over the endpoints idle at the time
+// in chunks, leasing endpoints (preferring the unit's home shard,
+// borrowing across shards when stealing is on), re-queues chunks that
+// failed, and speculatively re-issues stragglers. Results are reassembled
+// by index, so the tuner sees exactly the batch it asked for no matter
+// which endpoints served it.
 type dispatcher struct {
 	s      *Scheduler
 	shard  int
@@ -133,9 +134,9 @@ func (d *dispatcher) speculateAfter(sl *slot, n int) time.Duration {
 }
 
 // launch starts one attempt goroutine for ck on sl. The goroutine owns
-// the slot's busy token and releases it on exit; its result lands on the
-// buffered events channel (sized so an attempt still in flight when the
-// batch returns never blocks).
+// the slot's busy token and releases it when the call returns; its
+// result lands on the buffered events channel (sized so an attempt still
+// in flight when the batch returns never blocks).
 func (d *dispatcher) launch(ck *chunk, sl *slot, twin bool, sc telemetry.SpanContext,
 	task workload.Task, sp *space.Space, idxs []int64, events chan<- attemptDone) {
 	//glint:ignore ctxflow -- attempt-scoped root: the ctx-less Measurer API ends here and every attempt is cancelled via ck.cancels on abort/finish
@@ -148,10 +149,6 @@ func (d *dispatcher) launch(ck *chunk, sl *slot, twin bool, sc telemetry.SpanCon
 	}
 	//glint:ignore leakcheck -- the attempt finishes by sending on events, buffered past max in-flight, so the send (and exit) cannot block
 	go func() {
-		defer func() {
-			sl.release()
-			d.s.notifyRelease()
-		}()
 		start := time.Now()
 		conn, err := sl.conn(d.gpu, d.s.sc.Reliable)
 		var res []gpusim.Result
@@ -162,8 +159,13 @@ func (d *dispatcher) launch(ck *chunk, sl *slot, twin bool, sc telemetry.SpanCon
 			measure.BindTrace(conn, sc)
 			res, err = conn.MeasureBatchContext(actx, task, sp, idxs[ck.lo:ck.hi])
 		}
+		wall := time.Since(start)
+		// Free the endpoint before reporting, so the loop never sees an
+		// attempt done while its endpoint still reads busy.
+		sl.release()
+		d.s.notifyRelease()
 		//glint:ignore ctxflow -- events is buffered past max in-flight (see MeasureBatch), so this send never blocks
-		events <- attemptDone{ck: ck, sl: sl, res: res, err: err, wall: time.Since(start), twin: twin}
+		events <- attemptDone{ck: ck, sl: sl, res: res, err: err, wall: wall, twin: twin}
 	}()
 }
 
@@ -186,7 +188,7 @@ func (d *dispatcher) MeasureBatch(task workload.Task, sp *space.Space, idxs []in
 	// A chunk holds at least one index and has at most two attempts in
 	// flight: its original plus one speculative twin (a twin launches
 	// only at inFlight == 1, a retry only at inFlight == 0). Busy tokens
-	// bound nothing here: an attempt releases its token after it sends,
+	// bound nothing here: an attempt releases its token before it sends,
 	// so its endpoint can take another attempt before the loop receives.
 	events := make(chan attemptDone, 2*len(idxs))
 	// One ticker per batch polls what no event announces: breaker

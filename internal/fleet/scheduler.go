@@ -32,7 +32,9 @@ type SchedulerConfig struct {
 	// SpeculateAfter is the straggler threshold. 0 adapts it to 4x the
 	// endpoint fleet's observed mean chunk wall time.
 	SpeculateAfter time.Duration
-	// MaxChunk caps the adaptive per-endpoint batch slice (default 16).
+	// MaxChunk caps the configs one chunk of a batch takes (default 16).
+	// A chunk otherwise takes an even share of the batch's uncut configs
+	// over the endpoints idle when it is leased.
 	MaxChunk int
 	// SessionsPerShard is the number of concurrent tuning sessions each
 	// shard runs (default 4).
@@ -72,7 +74,7 @@ type SchedulerStats struct {
 // Scheduler is the fleet orchestrator: it drives tuning sessions for many
 // (gpu, task) units over a pool of measurement endpoints. Targets are
 // sharded by Blueprint affinity, idle shards steal queued tasks,
-// dispatchers lease endpoints per chunk with adaptive sizing, and
+// dispatchers spread each batch over the idle endpoints in chunks, and
 // stragglers are speculatively re-issued. A single machine tuning its
 // own GPUs is the pool of one in-process endpoint per target.
 //
