@@ -113,12 +113,13 @@ bench-obs:
 # in one shard (no stealing or speculation) vs four shards with both, over
 # 200 simulated endpoints with 10% device flap and 16 sessions each.
 # Compare the meas/s metric between the two entries; the sharded entry
-# measured 1.05-1.07x the one-shard entry in four runs on a 2-vCPU VM,
-# since both reroute failed chunks and size chunks adaptively.
+# measured 0.89-1.24x the one-shard entry (median 1.07x) in eleven runs on
+# a 2-vCPU VM, since both reroute failed chunks and spread each batch
+# over the idle endpoints. -cpu 2 pins the names, as for bench-train.
+FLEET_BENCH = $(GO) test -bench 'BenchmarkFleet' -benchtime 1x -benchmem -cpu 2 -run '^$$' ./internal/fleet/...
 .PHONY: bench-fleet
 bench-fleet:
-	$(GO) test -bench 'BenchmarkFleet' -benchtime 1x -benchmem -run '^$$' ./internal/fleet/... \
-		| $(GO) run ./cmd/benchjson > BENCH_fleet.json
+	$(FLEET_BENCH) | $(GO) run ./cmd/benchjson > BENCH_fleet.json
 	@echo wrote BENCH_fleet.json
 
 # Tuned-config cache benchmarks as a machine-readable artifact: exact-hit
@@ -182,8 +183,10 @@ bench-layers:
 # surrogate-layer benchmarks the same way, and so does bench-diff-cache,
 # which also keeps the fresh run in bench-cache-fresh.json and fails when
 # the warm-vs-cold study misses its 30% gate (empty input to benchdiff).
-.PHONY: bench-diff bench-diff-obs bench-diff-train bench-diff-layers bench-diff-cache
-bench-diff: bench-diff-obs bench-diff-train bench-diff-layers bench-diff-cache
+# bench-diff-fleet gates the fleet benchmarks the same way too: one run
+# each, whose allocs/op moved by up to 19% between runs (see CHANGES.md).
+.PHONY: bench-diff bench-diff-obs bench-diff-train bench-diff-layers bench-diff-cache bench-diff-fleet
+bench-diff: bench-diff-obs bench-diff-train bench-diff-layers bench-diff-cache bench-diff-fleet
 
 bench-diff-obs:
 	$(GO) test -bench 'BenchmarkTracer|BenchmarkCounterInc|BenchmarkHistogramObserve|BenchmarkReliableOverhead' \
@@ -202,6 +205,10 @@ bench-diff-layers:
 bench-diff-cache:
 	$(CACHE_BENCH) | $(GO) run ./cmd/benchjson | tee bench-cache-fresh.json \
 		| $(GO) run ./cmd/benchdiff -floor-ns 1e15 -baseline BENCH_cache.json
+
+bench-diff-fleet:
+	$(FLEET_BENCH) | $(GO) run ./cmd/benchjson \
+		| $(GO) run ./cmd/benchdiff -floor-ns 1e15 -baseline BENCH_fleet.json
 
 .PHONY: fmt
 fmt:

@@ -16,8 +16,10 @@ import (
 // prices: every resnet-18 task on every registry GPU over 200 simulated
 // endpoints, 10% of which flap with multi-hundred-millisecond outages.
 // The one-shard entry turns sharding, task stealing and speculation off;
-// the sharded entry turns them on. Both reroute failed chunks and size
-// chunks adaptively. Compare the meas/s metric between the two entries in
+// the sharded entry turns them on. Both reroute failed chunks and spread
+// each batch over the idle endpoints, so the sharded entry measured
+// 0.89-1.24x the one-shard meas/s (median 1.07x) in eleven runs on a
+// 2-vCPU VM. Compare the meas/s metric between the two entries in
 // BENCH_fleet.json.
 const benchEndpoints = 200
 
@@ -93,8 +95,8 @@ func BenchmarkFleetOneShard(b *testing.B) {
 }
 
 // BenchmarkFleetSharded runs the full resilience stack: Blueprint-affinity
-// shards, endpoint stealing, adaptive chunk sizing, and speculative
-// re-issue of stragglers.
+// shards, endpoint stealing, idle-spread chunks, and speculative re-issue
+// of stragglers.
 func BenchmarkFleetSharded(b *testing.B) {
 	runFleetBench(b, SchedulerConfig{
 		Shards:           4,
