@@ -110,9 +110,8 @@ func TestIdlePoolSpreadsBatch(t *testing.T) {
 	s, d, task, sp := batchDispatcher(t, SchedulerConfig{Reliable: fastReliable()}, eps)
 	idxs := firstIndices(n)
 	want := measureDirect(t, task, sp, idxs)
-	// The first batch dials every endpoint; the second is timed on an
-	// observed pool, where the chunk size used to follow each endpoint's
-	// measured cost instead of the idle count.
+	// The first batch dials every endpoint; the second is timed on a
+	// dialed pool whose endpoints all have a measured cost.
 	for batch := 1; batch <= 2; batch++ {
 		start := time.Now()
 		got, err := d.MeasureBatch(task, sp, idxs)

@@ -80,9 +80,13 @@ func (s *slot) conn(gpu string, cfg measure.ReliableConfig) (*measure.Reliable, 
 // undialed endpoint is optimistically ready.
 func (s *slot) leasable(gpu string) (int, bool) {
 	s.mu.Lock()
-	served, busy, r := s.served, s.busy, s.conns[gpu]
+	if s.busy {
+		s.mu.Unlock()
+		return 0, false
+	}
+	served, r := s.served, s.conns[gpu]
 	s.mu.Unlock()
-	return served, !busy && (r == nil || r.Ready())
+	return served, r == nil || r.Ready()
 }
 
 // tryAcquire takes the busy token if free.
