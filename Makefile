@@ -113,7 +113,7 @@ bench-obs:
 # in one shard (no stealing or speculation) vs four shards with both, over
 # 200 simulated endpoints with 10% device flap and 16 sessions each.
 # Compare the meas/s metric between the two entries; the sharded entry
-# measured 0.89-1.24x the one-shard entry (median 1.07x) in eleven runs on
+# measured 0.97-1.21x the one-shard entry (median 1.06x) in ten runs on
 # a 2-vCPU VM, since both reroute failed chunks and spread each batch
 # over the idle endpoints. -cpu 2 pins the names, as for bench-train.
 FLEET_BENCH = $(GO) test -bench 'BenchmarkFleet' -benchtime 1x -benchmem -cpu 2 -run '^$$' ./internal/fleet/...
@@ -184,7 +184,10 @@ bench-layers:
 # which also keeps the fresh run in bench-cache-fresh.json and fails when
 # the warm-vs-cold study misses its 30% gate (empty input to benchdiff).
 # bench-diff-fleet gates the fleet benchmarks the same way too: one run
-# each, whose allocs/op moved by up to 19% between runs (see CHANGES.md).
+# each. The sharded entry's allocs/op read 91.9k-111.8k over 17 runs,
+# 15 of them within 92k-98k, and the slowest runs read the most (its
+# speculation threshold is wall time); the one-shard entry's stayed
+# within 2%.
 .PHONY: bench-diff bench-diff-obs bench-diff-train bench-diff-layers bench-diff-cache bench-diff-fleet
 bench-diff: bench-diff-obs bench-diff-train bench-diff-layers bench-diff-cache bench-diff-fleet
 

@@ -18,7 +18,7 @@ import (
 // The one-shard entry turns sharding, task stealing and speculation off;
 // the sharded entry turns them on. Both reroute failed chunks and spread
 // each batch over the idle endpoints, so the sharded entry measured
-// 0.89-1.24x the one-shard meas/s (median 1.07x) in eleven runs on a
+// 0.97-1.21x the one-shard meas/s (median 1.06x) in ten runs on a
 // 2-vCPU VM. Compare the meas/s metric between the two entries in
 // BENCH_fleet.json.
 const benchEndpoints = 200

@@ -70,9 +70,10 @@ type attemptDone struct {
 // target, not in exclude. Home-shard endpoints are preferred; with
 // stealing enabled, other shards' (and homeless) endpoints are borrowed.
 // Within a class the least-served endpoint wins, ties by name, so load
-// spreads deterministically. It also returns how many endpoints were
-// leasable, the leased one included, and nil when nothing is leasable
-// now. One pass over the pool, allocation-free.
+// spreads deterministically. Beside the endpoint and whether it was
+// borrowed, it returns how many endpoints were leasable, the leased one
+// included; nil when nothing is leasable now. One pass over the pool,
+// allocation-free.
 func (d *dispatcher) lease(exclude []*slot) (*slot, bool, int) {
 	for {
 		var best [2]*slot // per class: home, borrowed
